@@ -5,9 +5,12 @@ the tuning matrix). The transmitter-to-receiver transfer impedance is
 
     h = z_rt - z_rs^T (Z_ss + diag(tuning))^(-1) z_st
 
-computed with an LU solve, never an explicit inverse. A derivative-free
-cyclic coordinate-descent optimizer adjusts per-element reactances to
-maximize |h|.
+computed with an LU solve, never an explicit inverse. A cyclic
+coordinate-ascent optimizer adjusts per-element reactances to maximize
+|h|. Changing one load is a rank-1 update of the system, so each step
+moves a reactance straight to its exact maximizer over the bounds (a
+closed form from Sherman-Morrison); every accepted move is re-checked by
+a full solve.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .impedance import ImpedanceSet
 DEFAULT_REACTANCE_BOUNDS = (-2000.0, 2000.0)  # [ohm]
 DEFAULT_CONDITION_CAP = 1e12
 _RESIDUAL_REL_MAX = 1e-10
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,119 +175,114 @@ class OptimizeResult:
     trace: tuple[float, ...] = field(default_factory=tuple)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float):
-    """Golden-section maximization on [lo, hi]; returns (x, f(x))."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return (c, fc) if fc > fd else (d, fd)
+def _coordinate_step(imps: ImpedanceSet, entries: np.ndarray, idx: int,
+                     lo: float, hi: float, cond_cap: float) -> float:
+    """Reactance in [lo, hi] of element idx that maximizes |h|, the
+    others held fixed (the current reactance when nothing beats it).
+
+    With A = Z_ss + diag(entries), x = A^-1 z_st, y = A^-1 z_rs and
+    g = (A^-1)_ii, a reactance change t of element idx is the rank-1
+    update A + j t e_i e_i^T. A is symmetric, so Sherman-Morrison gives
+
+        h(t) = h + j t x_i y_i / (1 + j t g) = (h + j t q) / (1 + j t g)
+
+    with q = h g + x_i y_i. |h(t)|^2 is a ratio of two real quadratics
+    whose derivative has a vanishing t^3 term, so its stationary points
+    are the real roots of one quadratic. The best of those inside the
+    bounds, the two bounds and t = 0 is the exact maximizer.
+    """
+    system = imps.z_ss + np.diag(entries)
+    lu, piv, _ = _factor_system(system, cond_cap)
+    unit = np.zeros(entries.shape[0], dtype=complex)
+    unit[idx] = 1.0
+    sol = lu_solve((lu, piv), np.column_stack((imps.z_st, imps.z_rs, unit)))
+    x_i, y_i, g = sol[idx]
+    h = imps.z_rt - np.dot(imps.z_rs, sol[:, 0])
+    q = h * g + x_i * y_i
+    # |h(t)|^2 = (a0 + a1 t + a2 t^2) / (b0 + b1 t + b2 t^2)
+    a0, a1, a2 = abs(h) ** 2, 2.0 * (h * q.conjugate()).imag, abs(q) ** 2
+    b0, b1, b2 = 1.0, -2.0 * g.imag, abs(g) ** 2
+    roots = np.roots([a2 * b1 - a1 * b2, 2.0 * (a2 * b0 - a0 * b2),
+                      a1 * b0 - a0 * b1])
+    current = entries[idx].imag
+    candidates = [current, lo, hi] + [
+        current + t.real for t in roots
+        if t.imag == 0.0 and lo <= current + t.real <= hi
+    ]
+    t = np.array(candidates) - current
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = np.abs((h + 1j * t * q) / (1.0 + 1j * t * g))
+    return candidates[int(np.nanargmax(gain))]
 
 
 def optimize_tuning(
     imps: ImpedanceSet,
     init: TuningState,
-    objective: str = "max_gain",
     budget: int = 20,
-    seed: int | None = None,
-    coarse_points: int = 65,
     cond_cap: float = DEFAULT_CONDITION_CAP,
 ) -> OptimizeResult:
     """Maximize |h_e2e| over per-element reactances.
 
-    Cyclic coordinate descent: each pass sweeps the elements in order,
-    and each element's reactance is re-optimized over the bounds by a
-    coarse scan (coarse_points samples plus the current value) followed
-    by golden-section refinement inside the best scan cell. A move is
-    only accepted when it does not lower the objective, so the trace of
-    |h_e2e| values is non-decreasing. budget caps the number of full
-    sweeps; the search stops early once a sweep brings no improvement.
+    Cyclic coordinate ascent: each sweep visits the elements in order and
+    moves each reactance to its exact maximizer over the bounds, the
+    others held fixed (a closed-form rank-1 step, see _coordinate_step).
+    The formula only proposes: the proposed state is re-solved by
+    end_to_end, with its condition cap and residual check, and the move
+    is accepted only when that checked |h_e2e| is strictly larger. The
+    trace of |h_e2e| values is therefore non-decreasing. budget caps the
+    number of full sweeps; the search stops early once a sweep brings no
+    improvement, so the run converged exactly when the last two trace
+    entries are equal and stopped at the budget otherwise.
 
     Real parts of the entries are held fixed; with reactance_only set
-    they are all zero. The procedure is deterministic; seed is accepted
-    for interface stability but no randomness is used.
+    they are all zero. The procedure is deterministic.
 
-    Raises DomainError for budget < 1 or an unknown objective, and
-    SingularSystem if every probed state fails to solve.
+    Raises DomainError for budget < 1, and SingularSystem when the
+    initial state does not solve (there is no system to step from).
     """
-    if objective != "max_gain":
-        raise DomainError(f"unknown objective {objective!r}")
     if not isinstance(budget, int) or budget < 1:
         raise DomainError("optimizer budget must be an integer >= 1")
-    if coarse_points < 3:
-        raise DomainError("coarse_points must be at least 3")
-    del seed  # deterministic search; parameter kept for call-site stability
 
     lo, hi = init.reactance_bounds
     entries = init.entries.copy()
-    n = entries.shape[0]
-    solve_failures = 0
-    solve_successes = 0
 
-    def evaluate(vec) -> tuple[float, ChannelResult | None]:
-        nonlocal solve_failures, solve_successes
+    def evaluate(vec) -> ChannelResult:
         state = TuningState(vec, reactance_only=False,
                             reactance_bounds=init.reactance_bounds)
-        try:
-            res = end_to_end(imps, state, cond_cap=cond_cap)
-        except SingularSystem:
-            solve_failures += 1
-            return -math.inf, None
-        solve_successes += 1
-        return abs(res.h_e2e), res
+        return end_to_end(imps, state, cond_cap=cond_cap)
 
-    best_obj, best_res = evaluate(entries)
+    try:
+        best_res = evaluate(entries)
+    except SingularSystem as exc:
+        raise SingularSystem(
+            f"every probed tuning state failed to solve: the initial "
+            f"state is unsolvable ({exc})"
+        )
+    best_obj = abs(best_res.h_e2e)
     trace = [best_obj]
-    grid = np.linspace(lo, hi, coarse_points)
-    cell = (hi - lo) / (coarse_points - 1)
-    line_tol = 1e-10 * (hi - lo)
 
     for _ in range(budget):
         improved = False
-        for idx in range(n):
-            base = entries[idx].real  # held fixed; zero in reactive mode
-
-            def line(x: float) -> float:
-                entries[idx] = base + 1j * x
-                return evaluate(entries)[0]
-
-            current_x = entries[idx].imag
-            scan = [(line(x), x) for x in grid]
-            scan.append((line(current_x), current_x))
-            scan_best, scan_x = max(scan, key=lambda t: t[0])
-            bracket_lo = max(lo, scan_x - cell)
-            bracket_hi = min(hi, scan_x + cell)
-            gold_x, gold_obj = _golden_max(line, bracket_lo, bracket_hi, line_tol)
-            cand_obj, cand_x = max((scan_best, scan_x), (gold_obj, gold_x))
-            if cand_obj > best_obj:
-                entries[idx] = base + 1j * cand_x
-                best_obj = cand_obj
+        for idx in range(entries.shape[0]):
+            current = entries[idx]
+            target = _coordinate_step(imps, entries, idx, lo, hi, cond_cap)
+            if target == current.imag:
+                continue
+            entries[idx] = current.real + 1j * target
+            try:
+                res = evaluate(entries)
+            except SingularSystem:
+                res = None
+            if res is not None and abs(res.h_e2e) > best_obj:
+                best_res, best_obj = res, abs(res.h_e2e)
                 improved = True
             else:
-                entries[idx] = base + 1j * current_x
+                entries[idx] = current
         trace.append(best_obj)
         if not improved:
             break
 
-    if solve_successes == 0:
-        raise SingularSystem(
-            f"every probed tuning state failed to solve "
-            f"({solve_failures} attempts)"
-        )
-
     final_state = TuningState(entries, reactance_only=init.reactance_only,
                               reactance_bounds=init.reactance_bounds)
-    final_obj, final_res = evaluate(entries)
-    if final_res is None:
-        raise SingularSystem("optimizer terminated on an unsolvable state")
-    return OptimizeResult(tuning=final_state, channel=final_res,
+    return OptimizeResult(tuning=final_state, channel=best_res,
                           trace=tuple(trace))

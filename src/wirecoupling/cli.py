@@ -86,44 +86,48 @@ def _cmd_impedance(cfg: SceneConfig, args) -> int:
     return 0
 
 
-def _channel_payload(imps, tuning: TuningState) -> dict:
-    result = end_to_end(imps, tuning)
-    return {
-        "h_e2e_re_ohm": result.h_e2e.real,
-        "h_e2e_im_ohm": result.h_e2e.imag,
-        "gain_db": result.gain_db,
-        "condition_estimate": result.condition_estimate,
-    }
+def _tuned_channel(cfg: SceneConfig, scene, imps, command: str):
+    """Channel of one scene under the config's tuning directive.
+
+    Returns (channel, optimize result or None). An optimize directive
+    starts from zero reactance clipped into its bounds; fixed entries are
+    sized to the scene by tuning_for_scene.
+    """
+    spec = cfg.optimize
+    if spec is not None:
+        lo, hi = spec.reactance_bounds
+        init = TuningState.from_reactances(
+            np.full(imps.n_elements, min(max(0.0, lo), hi)),
+            reactance_bounds=spec.reactance_bounds,
+        )
+        opt = optimize_tuning(imps, init, budget=spec.budget)
+        return opt.channel, opt
+    tuning = tuning_for_scene(cfg, scene)
+    if tuning is None:
+        raise ConfigError(
+            f"tuning: required by the {command} command (fixed entries or "
+            f"an optimize directive)"
+        )
+    return end_to_end(imps, tuning), None
 
 
 def _cmd_channel(cfg: SceneConfig, args) -> int:
     out = _out_dir(cfg, args)
     imps = assemble_impedances(cfg.scene, oracle_rel_tol=args.oracle_tol)
-
-    if cfg.optimize is not None:
-        spec = cfg.optimize
-        init = TuningState.from_reactances(
-            np.zeros(imps.n_elements), reactance_bounds=spec.reactance_bounds
-        )
-        opt = optimize_tuning(imps, init, budget=spec.budget, seed=spec.seed)
-        payload = {
-            "h_e2e_re_ohm": opt.channel.h_e2e.real,
-            "h_e2e_im_ohm": opt.channel.h_e2e.imag,
-            "gain_db": opt.channel.gain_db,
-            "condition_estimate": opt.channel.condition_estimate,
+    result, opt = _tuned_channel(cfg, cfg.scene, imps, "channel")
+    payload = {
+        "h_e2e_re_ohm": result.h_e2e.real,
+        "h_e2e_im_ohm": result.h_e2e.imag,
+        "gain_db": result.gain_db,
+        "condition_estimate": result.condition_estimate,
+    }
+    if opt is not None:
+        payload.update({
             "tuning_re_ohm": [z.real for z in opt.tuning.entries],
             "tuning_im_ohm": [z.imag for z in opt.tuning.entries],
             "objective_trace": list(opt.trace),
             "iterations": len(opt.trace) - 1,
-        }
-    else:
-        tuning = tuning_for_scene(cfg, cfg.scene)
-        if tuning is None:
-            raise ConfigError(
-                "tuning: required by the channel command (fixed entries or "
-                "an optimize directive)"
-            )
-        payload = _channel_payload(imps, tuning)
+        })
 
     _write_json(out / "channel.json", payload)
     print(
@@ -137,21 +141,7 @@ def _cmd_channel(cfg: SceneConfig, args) -> int:
 def _sweep_row(cfg: SceneConfig, args, parameter: str, value: float) -> dict:
     scene = resolve_sweep_scene(cfg, parameter, value)
     imps = assemble_impedances(scene, oracle_rel_tol=args.oracle_tol)
-    if cfg.optimize is not None:
-        spec = cfg.optimize
-        init = TuningState.from_reactances(
-            np.zeros(imps.n_elements), reactance_bounds=spec.reactance_bounds
-        )
-        result = optimize_tuning(imps, init, budget=spec.budget,
-                                 seed=spec.seed).channel
-    else:
-        tuning = tuning_for_scene(cfg, scene)
-        if tuning is None:
-            raise ConfigError(
-                "tuning: required by the sweep command (fixed entries or "
-                "an optimize directive)"
-            )
-        result = end_to_end(imps, tuning)
+    result, _ = _tuned_channel(cfg, scene, imps, "sweep")
     return {
         "n_elements": scene.n_elements,
         "h": result.h_e2e,

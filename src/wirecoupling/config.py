@@ -60,7 +60,6 @@ class OptimizeSpec:
 
     reactance_bounds: tuple[float, float] = DEFAULT_REACTANCE_BOUNDS
     budget: int = 20
-    seed: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,14 +77,22 @@ def _fail(path: str, reason: str):
     raise ConfigError(f"{path}: {reason}")
 
 
-def _get(mapping, key, path: str, required: bool = True, default=None):
-    if not isinstance(mapping, dict):
-        _fail(path, "must be an object")
+def _get(mapping: dict, key, path: str, required: bool = True, default=None):
     if key not in mapping:
         if required:
             _fail(f"{path}.{key}" if path else key, "missing required field")
         return default
     return mapping[key]
+
+
+def _fields(value, path: str, allowed, shape: str = "an object") -> dict:
+    """The object at path, after rejecting any field outside allowed."""
+    if not isinstance(value, dict):
+        _fail(path, f"must be {shape}")
+    unknown = set(value) - set(allowed)
+    if unknown:
+        _fail(path, f"unknown fields {sorted(unknown)}")
+    return value
 
 
 def _number(value, path: str, positive: bool = False) -> float:
@@ -120,19 +127,15 @@ def _vec3(value, path: str, scale: float) -> tuple[float, float, float]:
 
 
 def _complex_entry(value, path: str) -> complex:
-    if not isinstance(value, dict):
-        _fail(path, 'must be an object {"re": ..., "im": ...}')
-    unknown = set(value) - {"re", "im"}
-    if unknown:
-        _fail(path, f"unknown fields {sorted(unknown)}")
+    _fields(value, path, ("re", "im"), 'an object {"re": ..., "im": ...}')
     re = _number(_get(value, "re", path), f"{path}.re")
     im = _number(_get(value, "im", path), f"{path}.im")
     return complex(re, im)
 
 
 def _dipole(value, path: str, scale: float) -> Dipole:
-    if not isinstance(value, dict):
-        _fail(path, "must be an object with center, half_length, radius")
+    _fields(value, path, ("center", "half_length", "radius"),
+            "an object with center, half_length, radius")
     center = _vec3(_get(value, "center", path), f"{path}.center", scale)
     half_length = _number(
         _get(value, "half_length", path), f"{path}.half_length", positive=True
@@ -144,8 +147,8 @@ def _dipole(value, path: str, scale: float) -> Dipole:
 
 
 def _surface(value, path: str, scale: float):
-    if not isinstance(value, dict):
-        _fail(path, 'must be an object holding "grid" or "elements"')
+    _fields(value, path, ("grid", "elements"),
+            'an object holding "grid" or "elements"')
     has_grid = "grid" in value
     has_elements = "elements" in value
     if has_grid == has_elements:
@@ -161,8 +164,9 @@ def _surface(value, path: str, scale: float):
         )
         return elements, None
 
-    g = value["grid"]
     gpath = f"{path}.grid"
+    g = _fields(value["grid"], gpath, ("rows", "cols", "spacing", "half_length",
+                                       "radius", "center", "plane"))
     spec = GridSpec(
         rows=_integer(_get(g, "rows", gpath), f"{gpath}.rows", minimum=1),
         cols=_integer(_get(g, "cols", gpath), f"{gpath}.cols", minimum=1),
@@ -186,8 +190,8 @@ def _surface(value, path: str, scale: float):
 
 
 def _tuning(value, path: str, n_elements: int):
-    if not isinstance(value, dict):
-        _fail(path, 'must be an object holding "entries" or "optimize"')
+    _fields(value, path, ("entries", "optimize"),
+            'an object holding "entries" or "optimize"')
     has_entries = "entries" in value
     has_optimize = "optimize" in value
     if has_entries == has_optimize:
@@ -212,10 +216,8 @@ def _tuning(value, path: str, n_elements: int):
         tuning = TuningState(np.array(entries), reactance_only=False)
         return tuning, None
 
-    o = value["optimize"]
     opath = f"{path}.optimize"
-    if not isinstance(o, dict):
-        _fail(opath, "must be an object")
+    o = _fields(value["optimize"], opath, ("reactance_bounds", "budget"))
     bounds_raw = _get(o, "reactance_bounds", opath, required=False,
                       default=list(DEFAULT_REACTANCE_BOUNDS))
     if not isinstance(bounds_raw, (list, tuple)) or len(bounds_raw) != 2:
@@ -228,8 +230,6 @@ def _tuning(value, path: str, n_elements: int):
         reactance_bounds=(lo, hi),
         budget=_integer(_get(o, "budget", opath, required=False, default=20),
                         f"{opath}.budget", minimum=1),
-        seed=_integer(_get(o, "seed", opath, required=False, default=0),
-                      f"{opath}.seed", minimum=0),
     )
     return None, spec
 
@@ -239,8 +239,9 @@ def parse_scene_config(data, source: str = "<config>") -> SceneConfig:
 
     Error messages name the offending field by its dotted path.
     """
-    if not isinstance(data, dict):
-        raise ConfigError(f"{source}: top level must be a JSON object")
+    _fields(data, source, ("frequency_hz", "lambda_units", "transmitter",
+                           "receiver", "surface", "tuning", "output"),
+            "a JSON object at the top level")
 
     frequency = _number(_get(data, "frequency_hz", ""), "frequency_hz",
                         positive=True)
@@ -269,22 +270,12 @@ def parse_scene_config(data, source: str = "<config>") -> SceneConfig:
     output_dir = None
     output_raw = _get(data, "output", "", required=False)
     if output_raw is not None:
-        if not isinstance(output_raw, dict):
-            _fail("output", "must be an object")
-        unknown = set(output_raw) - {"directory"}
-        if unknown:
-            _fail("output", f"unknown fields {sorted(unknown)}")
+        _fields(output_raw, "output", ("directory",))
         directory = _get(output_raw, "directory", "output", required=False)
         if directory is not None:
             if not isinstance(directory, str) or not directory:
                 _fail("output.directory", "must be a non-empty string")
             output_dir = directory
-
-    known = {"frequency_hz", "lambda_units", "transmitter", "receiver",
-             "surface", "tuning", "output"}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown top-level fields: {sorted(unknown)}")
 
     return SceneConfig(scene=scene, grid=grid, tuning=tuning,
                        optimize=optimize, output_dir=output_dir)
@@ -347,7 +338,6 @@ def scene_config_to_dict(cfg: SceneConfig) -> dict:
         data["tuning"] = {"optimize": {
             "reactance_bounds": list(cfg.optimize.reactance_bounds),
             "budget": cfg.optimize.budget,
-            "seed": cfg.optimize.seed,
         }}
     if cfg.output_dir is not None:
         data["output"] = {"directory": cfg.output_dir}

@@ -197,7 +197,38 @@ def scalar_gain_profile(imps, reactances):
     return np.abs(h)
 
 
+def random_single_element_imps(seed: int) -> ImpedanceSet:
+    rng = np.random.default_rng(seed)
+    element = Dipole(
+        (rng.uniform(-0.5, 0.5) * LAM, rng.uniform(-0.5, 0.5) * LAM,
+         rng.uniform(-0.2, 0.2) * LAM),
+        rng.uniform(0.1, 0.3) * LAM, LAM / 2000,
+    )
+    tx = half_wave(x=-2.0 * LAM, y=rng.uniform(-1.0, 1.0) * LAM)
+    rx = half_wave(x=2.0 * LAM, y=rng.uniform(-1.0, 1.0) * LAM)
+    return assemble_impedances(Scene(tx, rx, (element,), FREQ))
+
+
 class TestOptimizer:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exact_step_matches_dense_scan(self, seed):
+        # One coordinate step on a one-element surface is the whole
+        # problem, so a single sweep must reach the scalar optimum.
+        imps = random_single_element_imps(seed)
+        wide = np.linspace(-2000.0, 2000.0, 200_001)
+        peak = wide[np.argmax(scalar_gain_profile(imps, wide))]
+        # bounds around the unconstrained peak, then above and below it
+        for lo, hi in ((-2000.0, 2000.0), (peak + 50.0, peak + 800.0),
+                       (peak - 800.0, peak - 50.0)):
+            init = TuningState.from_reactances([min(max(0.0, lo), hi)],
+                                               reactance_bounds=(lo, hi))
+            result = optimize_tuning(imps, init, budget=1)
+            xs = np.linspace(lo, hi, 200_001)
+            scan_best = float(np.max(scalar_gain_profile(imps, xs)))
+            assert abs(result.channel.h_e2e) >= (1.0 - 1e-9) * scan_best
+            x = result.tuning.entries.imag
+            assert lo <= x[0] <= hi
+
     def test_single_element_matches_fine_grid(self):
         imps = single_element_imps()
         init = TuningState.from_reactances([0.0])
@@ -260,8 +291,8 @@ class TestOptimizer:
     def test_deterministic_across_runs(self):
         imps = two_element_imps()
         init = TuningState.from_reactances([0.0, 0.0])
-        a = optimize_tuning(imps, init, seed=1)
-        b = optimize_tuning(imps, init, seed=99)
+        a = optimize_tuning(imps, init)
+        b = optimize_tuning(imps, init)
         assert np.array_equal(a.tuning.entries, b.tuning.entries)
         assert a.trace == b.trace
         assert a.channel.h_e2e == b.channel.h_e2e
@@ -273,10 +304,6 @@ class TestOptimizer:
             optimize_tuning(imps, init, budget=0)
         with pytest.raises(DomainError):
             optimize_tuning(imps, init, budget=2.0)
-        with pytest.raises(DomainError):
-            optimize_tuning(imps, init, objective="min_gain")
-        with pytest.raises(DomainError):
-            optimize_tuning(imps, init, coarse_points=2)
 
     def test_unsolvable_everywhere_raises(self):
         imps = single_element_imps()

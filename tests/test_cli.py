@@ -177,6 +177,22 @@ class TestChannelCommand:
         # by accident of the initial state: trace starts at init
         assert trace[-1] >= trace[0]
 
+    def test_optimize_bounds_excluding_zero(self, tmp_path):
+        # the start point is zero reactance clipped into the bounds
+        data = elements_config(n=2, tuning_im=None)
+        data["tuning"] = {"optimize": {"reactance_bounds": [100, 500],
+                                       "budget": 2}}
+        cfg_path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["channel", cfg_path, "--out", str(out)]) == 0
+        payload = json.loads((out / "channel.json").read_text())
+        assert all(100.0 <= x <= 500.0 for x in payload["tuning_im_ohm"])
+        assert main(["sweep", cfg_path, "--out", str(out), "--param",
+                     "frequency", "--from", "2.9e8", "--to", "3.1e8",
+                     "--points", "2"]) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert all(row.endswith(",ok") for row in rows)
+
     def test_out_flag_beats_config_directory(self, tmp_path):
         data = elements_config(n=1)
         data["output"] = {"directory": str(tmp_path / "from_config")}

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,19 @@ def grid_config(rows=4, cols=4, spacing=0.125) -> dict:
     }
 
 
+UNKNOWN_FIELD_CASES = [
+    ("transmitter", lambda d: d["transmitter"], "length"),
+    ("receiver", lambda d: d["receiver"], "length"),
+    ("surface", lambda d: d["surface"], "layout"),
+    ("surface.grid", lambda d: d["surface"]["grid"], "pitch"),
+    ("surface.elements[1]", lambda d: d["surface"]["elements"][1],
+     "length"),
+    ("tuning", lambda d: d["tuning"], "entires"),
+    ("tuning.optimize", lambda d: d["tuning"]["optimize"], "budjet"),
+    ("tuning.optimize", lambda d: d["tuning"]["optimize"], "seed"),
+]
+
+
 class TestParse:
     def test_minimal_document(self):
         cfg = parse_scene_config(elements_config())
@@ -92,16 +106,14 @@ class TestParse:
         assert cfg.tuning is None
         assert cfg.optimize.reactance_bounds == (-2000.0, 2000.0)
         assert cfg.optimize.budget == 20
-        assert cfg.optimize.seed == 0
 
     def test_optimize_custom_values(self):
         data = grid_config()
         data["tuning"] = {"optimize": {"reactance_bounds": [-500, 500],
-                                       "budget": 5, "seed": 3}}
+                                       "budget": 5}}
         cfg = parse_scene_config(data)
         assert cfg.optimize.reactance_bounds == (-500.0, 500.0)
         assert cfg.optimize.budget == 5
-        assert cfg.optimize.seed == 3
 
     def test_output_directory(self):
         data = elements_config()
@@ -161,6 +173,16 @@ class TestParse:
         data = elements_config()
         data["output"] = {"directory": "x", "format": "csv"}
         with pytest.raises(ConfigError, match="format"):
+            parse_scene_config(data)
+
+    @pytest.mark.parametrize("path, select, typo", UNKNOWN_FIELD_CASES,
+                             ids=[f"{c[0]}.{c[2]}" for c in UNKNOWN_FIELD_CASES])
+    def test_unknown_field_names_its_object(self, path, select, typo):
+        data = elements_config() if "elements" in path else grid_config()
+        data["tuning"] = {"optimize": {"budget": 5}}
+        select(data)[typo] = 5
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{path}: unknown fields ['{typo}']")):
             parse_scene_config(data)
 
     def test_top_level_must_be_object(self):
