@@ -32,7 +32,7 @@ from .config import (
     tuning_for_scene,
 )
 from .errors import ConfigError, GeometryError, WireCouplingError
-from .geometry import Dipole
+from .geometry import Dipole, pair_geometry
 from .impedance import assemble_impedances, mutual_impedance, mutual_impedance_oracle
 
 VALIDATE_GATE = 1e-6  # closed form vs oracle acceptance threshold
@@ -221,17 +221,14 @@ def _cmd_validate(cfg: SceneConfig, args) -> int:
                                          rel_tol=args.oracle_tol)
         rel = abs(closed - oracle) / abs(oracle)
         errors.append(rel)
-        geom_rho = observer.radius if same else math.hypot(
-            observer.center[0] - source.center[0],
-            observer.center[1] - source.center[1],
-        )
+        geom = pair_geometry(source, observer, same)
         comparisons.append({
             "index": index,
             "same": same,
-            "h_p_m": source.half_length,
-            "h_q_m": observer.half_length,
-            "rho_m": geom_rho,
-            "dz_m": observer.center[2] - source.center[2],
+            "h_p_m": geom.h_p,
+            "h_q_m": geom.h_q,
+            "rho_m": geom.rho,
+            "dz_m": geom.dz,
             "closed_re_ohm": closed.real,
             "closed_im_ohm": closed.imag,
             "oracle_re_ohm": oracle.real,

@@ -123,13 +123,21 @@ def pair_geometry(source: Dipole, observer: Dipole, same: bool = False) -> PairG
     )
 
 
-def _wires_overlap(p: Dipole, q: Dipole) -> bool:
-    # Two parallel wires collide when their axes come closer than the sum
-    # of the radii while their z spans intersect.
-    d = math.hypot(q.center[0] - p.center[0], q.center[1] - p.center[1])
-    if d > p.radius + q.radius:
-        return False
-    return abs(q.center[2] - p.center[2]) <= p.half_length + q.half_length
+def _first_overlap(wires) -> tuple[int, int] | None:
+    """Index pair (i, j), i < j, of the first two colliding wires, or None.
+
+    Two parallel wires collide when their axes come closer than the sum of
+    the radii while their z spans intersect.
+    """
+    for i, p in enumerate(wires):
+        for j in range(i + 1, len(wires)):
+            q = wires[j]
+            d = math.hypot(q.center[0] - p.center[0], q.center[1] - p.center[1])
+            if (d <= p.radius + q.radius
+                    and abs(q.center[2] - p.center[2])
+                    <= p.half_length + q.half_length):
+                return i, j
+    return None
 
 
 @dataclass(frozen=True)
@@ -148,16 +156,15 @@ class Scene:
             raise GeometryError("scene needs at least one surface element")
         if not (math.isfinite(self.frequency_hz) and self.frequency_hz > 0):
             raise GeometryError("scene frequency must be positive")
-        wires = [("transmitter", self.transmitter), ("receiver", self.receiver)]
-        wires += [(f"surface[{i}]", d) for i, d in enumerate(self.surface)]
-        for i in range(len(wires)):
-            for j in range(i + 1, len(wires)):
-                if _wires_overlap(wires[i][1], wires[j][1]):
-                    raise GeometryError(
-                        f"wires {wires[i][0]} and {wires[j][0]} overlap: "
-                        "separate them transversally beyond the summed radii "
-                        "or make their z extents disjoint"
-                    )
+        pair = _first_overlap((self.transmitter, self.receiver) + self.surface)
+        if pair is not None:
+            names = ["transmitter", "receiver"]
+            names += [f"surface[{i}]" for i in range(len(self.surface))]
+            raise GeometryError(
+                f"wires {names[pair[0]]} and {names[pair[1]]} overlap: "
+                "separate them transversally beyond the summed radii "
+                "or make their z extents disjoint"
+            )
 
     @property
     def n_elements(self) -> int:
@@ -212,12 +219,10 @@ def build_grid(
                 pos = (x0 + col_offset, y0, z0 + row_offset)
             elements.append(Dipole(pos, half_length, radius))
 
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            if _wires_overlap(elements[i], elements[j]):
-                raise GeometryError(
-                    f"grid elements {i} and {j} overlap at spacing "
-                    f"{spacing:.6g} m; increase the spacing or shorten "
-                    "the wires"
-                )
+    pair = _first_overlap(elements)
+    if pair is not None:
+        raise GeometryError(
+            f"grid elements {pair[0]} and {pair[1]} overlap at spacing "
+            f"{spacing:.6g} m; increase the spacing or shorten the wires"
+        )
     return tuple(elements)

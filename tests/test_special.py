@@ -2,11 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from wirecoupling import ConvergenceError, DomainError, adaptive_quad, exp_integral_e1
-from wirecoupling.special import EULER_GAMMA
 
 
 def sine_integral(x: float) -> complex:
@@ -17,7 +17,7 @@ def sine_integral(x: float) -> complex:
 def cosine_integral(x: float) -> complex:
     # Ci(x) = gamma + ln(x) + integral of (cos(t) - 1)/t from 0 to x.
     tail = adaptive_quad(lambda t: (np.cos(t) - 1.0) / t, 0.0, x, 1e-12)
-    return EULER_GAMMA + math.log(x) + tail
+    return np.euler_gamma + math.log(x) + tail
 
 
 class TestExpIntegral:
@@ -69,9 +69,50 @@ class TestExpIntegral:
             value = exp_integral_e1(1j * x)
             assert abs(value - expected) <= 1e-9 * abs(expected)
 
+    def test_imaginary_axis_matches_mpmath(self):
+        # The closed-form couplings only evaluate E1 at j*k*L with L > 0.
+        rng = np.random.default_rng(31)
+        for x in 10.0 ** rng.uniform(-8, 4, 1000):
+            with mpmath.workdps(40):
+                expected = complex(mpmath.e1(mpmath.mpc(0.0, x)))
+            value = exp_integral_e1(1j * x)
+            assert abs(value - expected) <= 1e-13 * abs(expected), x
+
+    def test_off_axis_matches_mpmath(self):
+        # Random magnitudes and angles, a third of them 1e-8 to 1e-1 rad
+        # from the cut, plus a ring at |c| = 4.9. There scipy still sums
+        # the power series, whose terms reach ~3e4 |E1(c)| in the right
+        # half-plane: the cancellation costs up to 3.9e-12 relative at
+        # unit roundoff. Hence 1e-11 here, against 1e-13 on the axis.
+        rng = np.random.default_rng(37)
+        points = [4.9 * complex(math.cos(a), math.sin(a))
+                  for a in np.linspace(-math.pi / 2, math.pi / 2, 181)]
+        while len(points) < 1200:
+            magnitude = 10.0 ** rng.uniform(-8, 4)
+            if rng.uniform() < 1.0 / 3.0:
+                angle = math.pi - 10.0 ** rng.uniform(-8, -1)
+            else:
+                angle = rng.uniform(0.0, math.pi)
+            if rng.uniform() < 0.5:
+                angle = -angle
+            c = magnitude * complex(math.cos(angle), math.sin(angle))
+            if -550.0 <= c.real <= 600.0:  # no overflow, no underflow
+                points.append(c)
+        for c in points:
+            with mpmath.workdps(40):
+                expected = complex(mpmath.e1(mpmath.mpc(c.real, c.imag)))
+            value = exp_integral_e1(c)
+            assert abs(value - expected) <= 1e-11 * abs(expected), c
+
     def test_rejects_zero(self):
         with pytest.raises(DomainError):
             exp_integral_e1(0.0)
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(DomainError):
+            exp_integral_e1(complex(math.nan, 1.0))
+        with pytest.raises(DomainError):
+            exp_integral_e1(complex(math.inf, 0.0))
 
     def test_rejects_branch_cut(self):
         with pytest.raises(DomainError):
