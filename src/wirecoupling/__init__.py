@@ -3,7 +3,7 @@
 Models a tunable scattering surface as an array of z-aligned thin-wire
 dipoles with sinusoidal currents, computes every pairwise coupling
 impedance in closed form through the complex exponential integral
-(with an adaptive-quadrature oracle for validation), and evaluates or
+(quadrature serves only as its validation oracle), and evaluates or
 optimizes the transmitter-to-receiver transfer impedance through the
 surface.
 """

@@ -73,7 +73,7 @@ def _out_dir(cfg: SceneConfig, args) -> Path:
 
 def _cmd_impedance(cfg: SceneConfig, args) -> int:
     out = _out_dir(cfg, args)
-    imps = assemble_impedances(cfg.scene, oracle_rel_tol=args.oracle_tol)
+    imps = assemble_impedances(cfg.scene)
     _write_complex_csv(out / "z_ss.csv", imps.z_ss)
     _write_complex_csv(out / "z_rs.csv", imps.z_rs)
     _write_complex_csv(out / "z_st.csv", imps.z_st)
@@ -113,7 +113,7 @@ def _tuned_channel(cfg: SceneConfig, scene, imps, command: str):
 
 def _cmd_channel(cfg: SceneConfig, args) -> int:
     out = _out_dir(cfg, args)
-    imps = assemble_impedances(cfg.scene, oracle_rel_tol=args.oracle_tol)
+    imps = assemble_impedances(cfg.scene)
     result, opt = _tuned_channel(cfg, cfg.scene, imps, "channel")
     payload = {
         "h_e2e_re_ohm": result.h_e2e.real,
@@ -138,9 +138,9 @@ def _cmd_channel(cfg: SceneConfig, args) -> int:
     return 0
 
 
-def _sweep_row(cfg: SceneConfig, args, parameter: str, value: float) -> dict:
+def _sweep_row(cfg: SceneConfig, parameter: str, value: float) -> dict:
     scene = resolve_sweep_scene(cfg, parameter, value)
-    imps = assemble_impedances(scene, oracle_rel_tol=args.oracle_tol)
+    imps = assemble_impedances(scene)
     result, _ = _tuned_channel(cfg, scene, imps, "sweep")
     return {
         "n_elements": scene.n_elements,
@@ -161,7 +161,7 @@ def _cmd_sweep(cfg: SceneConfig, args) -> int:
     for i, value in enumerate(values):
         value = float(value)
         try:
-            row = _sweep_row(cfg, args, args.parameter, value)
+            row = _sweep_row(cfg, args.parameter, value)
         except WireCouplingError as exc:
             failures += 1
             lines.append(
@@ -271,10 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="output directory (default: config output "
                             "section, else the working directory)")
-        p.add_argument("--oracle-tol", dest="oracle_tol", type=float,
-                       default=1e-9,
-                       help="relative tolerance of quadrature evaluations "
-                            "(default 1e-9)")
 
     p_imp = sub.add_parser("impedance", help="write the coupling matrices")
     common(p_imp)
@@ -300,6 +296,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate",
                            help="compare closed-form couplings to quadrature")
     common(p_val)
+    p_val.add_argument("--oracle-tol", dest="oracle_tol", type=float,
+                       default=1e-9,
+                       help="relative tolerance of the quadrature oracle "
+                            "(default 1e-9)")
     p_val.add_argument("--samples", type=int, default=50,
                        help="number of random pairs to compare (default 50)")
     p_val.add_argument("--seed", type=int, default=0,

@@ -23,7 +23,7 @@ class GeometryError(WireCouplingError, ValueError):
 
 
 class DegenerateGeometry(GeometryError):
-    """Transverse separation too small for the closed-form kernel path."""
+    """A kernel integral passes through its singular source point."""
 
 
 class ResonantLength(WireCouplingError, ValueError):

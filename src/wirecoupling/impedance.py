@@ -4,16 +4,17 @@ Each wire carries the classical sinusoidal current shape
 sin(k*(h - |z|)) / sin(k*h), normalized to unit feed current. The mutual
 impedance between two wires is the field of one integrated against the
 current of the other. That coupling integral reduces to combinations of
-the complex exponential integral; this module provides both the reduced
-closed form (fast path) and an adaptive-quadrature evaluation of the
-defining integral (oracle path), plus the assembly of the full coupling
-set for a scene.
+the complex exponential integral for every admissible pair, collinear
+ones included. This module provides that closed form, the assembly of a
+scene's full coupling set from it, and an adaptive-quadrature oracle of
+the defining integral that only tests and validation call.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,17 +25,8 @@ from .special import adaptive_quad, exp_integral_e1
 
 FREE_SPACE_IMPEDANCE = 376.730313668  # [ohm]
 
-# Below this transverse separation (as a fraction of wavelength) the
-# exponential-integral arguments approach the singular point and the
-# closed form hands over to the quadrature path.
-RHO_MIN_WAVELENGTHS = 1e-6
-
 # Guard for the 1/sin(k*h) current normalization near h = m*lambda/2.
 SIN_MIN = 1e-6
-
-
-def _rho_min(k: float) -> float:
-    return RHO_MIN_WAVELENGTHS * 2.0 * math.pi / k
 
 
 def _sin_or_raise(h: float, k: float, role: str) -> float:
@@ -59,30 +51,46 @@ def segment_kernel_integral(
     """Integral of exp(-j*k*(R + s0*t))/R over t in [z_lo, z_hi].
 
     R = sqrt(d0^2 + (t - z0)^2) is the distance from a point offset z0
-    along a parallel axis at transverse distance d0. In closed form this
-    is s0 * exp(-j*k*s0*z0) * (E1(j*k*L0) - E1(j*k*U0)) where
+    along a parallel axis at transverse distance d0 >= 0. In closed form
+    this is s0 * exp(-j*k*s0*z0) * (E1(j*k*L0) - E1(j*k*U0)) where
     L0 = sqrt(d0^2 + (z_lo - z0)^2) + s0*(z_lo - z0) and U0 is the same
     radical at z_hi. When s0*t and the radical nearly cancel, L0 is
     rewritten as d0^2 / (sqrt(d0^2 + t^2) - s0*t) to avoid losing all
     significant digits.
 
-    Raises DegenerateGeometry when d0 is below the closed-form floor,
-    DomainError for an invalid sign or a reversed interval. An empty
-    interval (z_lo == z_hi) integrates to zero.
+    On-axis limit: with the segment behind the source point (s0*(t - z0)
+    < 0 throughout) and d0 <= 1e-8 * min|t - z0|, the phase is constant
+    and the integrand 1/|t - z0| to double precision, so the result is
+    exp(-j*k*s0*z0) * |ln((z_hi - z0) / (z_lo - z0))|. Collinear pairs
+    (d0 = 0) with disjoint spans take this path.
+
+    Raises DegenerateGeometry when d0*d0 underflows and, outside that
+    limit, the segment reaches s0*(t - z0) <= 0 (it passes through its
+    source point, a singularity); DomainError for a negative or NaN d0,
+    an invalid sign or a reversed interval. An empty interval (z_lo ==
+    z_hi) integrates to zero.
     """
     if s0 not in (1, -1):
         raise DomainError(f"segment_kernel_integral: s0 must be +1 or -1, got {s0!r}")
     if not k > 0:
         raise DomainError("segment_kernel_integral: k must be positive")
+    if not d0 >= 0.0:
+        raise DomainError(f"segment_kernel_integral: d0 must be >= 0, got {d0!r}")
     if z_hi < z_lo:
         raise DomainError("segment_kernel_integral: requires z_lo <= z_hi")
-    if d0 <= _rho_min(k):
-        raise DegenerateGeometry(
-            f"transverse separation {d0:.3e} m is below the closed-form "
-            f"floor {_rho_min(k):.3e} m; use the quadrature path"
-        )
     if z_lo == z_hi:
         return 0.0 + 0.0j
+
+    lo, hi = z_lo - z0, z_hi - z0
+    # Behind the source point with (d0/t)^2 <= 1e-16: R = |t| and
+    # R + s0*t = d0^2/(R - s0*t) <= 1e-16*|t|/2, both to double precision.
+    if s0 * lo < 0.0 and s0 * hi < 0.0 and d0 <= 1e-8 * min(abs(lo), abs(hi)):
+        return cmath.exp(-1j * k * s0 * z0) * abs(math.log(hi / lo))
+    if d0 * d0 < sys.float_info.min and min(s0 * lo, s0 * hi) <= 0.0:
+        raise DegenerateGeometry(
+            f"segment [{z_lo:.6g}, {z_hi:.6g}] m passes through its source "
+            f"point at {z0:.6g} m on the axis: the kernel integral is singular"
+        )
 
     def radical(t: float) -> float:
         r = math.hypot(d0, t)
@@ -90,8 +98,8 @@ def segment_kernel_integral(
             return r + s0 * t
         return d0 * d0 / (r - s0 * t)
 
-    lower = radical(z_lo - z0)
-    upper = radical(z_hi - z0)
+    lower = radical(lo)
+    upper = radical(hi)
     diff = exp_integral_e1(1j * k * lower) - exp_integral_e1(1j * k * upper)
     return s0 * cmath.exp(-1j * k * s0 * z0) * diff
 
@@ -161,7 +169,6 @@ def mutual_impedance(
     observer: Dipole,
     k: float,
     same: bool = False,
-    fallback_rel_tol: float = 1e-9,
 ) -> complex:
     """Coupling impedance in ohms between two wires, closed form.
 
@@ -176,20 +183,17 @@ def mutual_impedance(
               s0 * exp(j*s0*k*h_q) * (I(+h_p) + I(-h_p)
                                       - 2*cos(k*h_p) * I(0))
 
-    For near-collinear pairs (transverse separation at or below the
-    closed-form floor) the function silently delegates to the quadrature
-    oracle, which stays well defined as long as the wire z extents do not
-    interleave.
+    The same expression covers every admissible pair, collinear ones
+    through the on-axis limit of segment_kernel_integral; no pair is
+    integrated numerically.
 
     Raises ResonantLength when either wire length defeats the sinusoidal
-    current normalization.
+    current normalization, and DegenerateGeometry for collinear wires
+    whose spans touch or overlap, which Scene already rejects.
     """
     geom = pair_geometry(source, observer, same)
     sin_p = _sin_or_raise(geom.h_p, k, "source")
     sin_q = _sin_or_raise(geom.h_q, k, "observer")
-    if geom.rho <= _rho_min(k):
-        return mutual_impedance_oracle(source, observer, k, same, fallback_rel_tol)
-
     cos_p = math.cos(k * geom.h_p)
     total = 0.0 + 0.0j
     for s0 in (1, -1):
@@ -217,8 +221,8 @@ def mutual_impedance_oracle(
         z = j*eta/(4*pi*k) * integral of kernel(z) * f_q(z) dz
 
     Independent of the closed-form reduction, so it serves as its
-    correctness oracle. Also covers collinear pairs (rho = 0) with
-    disjoint z extents, which the closed form refuses.
+    correctness oracle; no production path calls it. Also covers
+    collinear pairs (rho = 0) with disjoint z extents.
 
     Raises ResonantLength for guarded lengths and ConvergenceError if the
     quadrature budget runs out.
@@ -284,12 +288,11 @@ class ImpedanceSet:
         return self.z_rs.shape[0]
 
 
-def assemble_impedances(scene: Scene, oracle_rel_tol: float = 1e-9) -> ImpedanceSet:
+def assemble_impedances(scene: Scene) -> ImpedanceSet:
     """Compute every coupling impedance of a scene.
 
-    Uses the closed form everywhere, which itself falls back to the
-    quadrature path for degenerate (near-collinear) pairs at the given
-    tolerance. The surface matrix is filled on the upper triangle and
+    Uses the closed form for every pair, collinear ones included; no
+    quadrature runs. The surface matrix is filled on the upper triangle and
     mirrored; reciprocity of the underlying formula is covered by tests,
     so the mirror halves the assembly cost without hiding anything.
     """
@@ -297,22 +300,14 @@ def assemble_impedances(scene: Scene, oracle_rel_tol: float = 1e-9) -> Impedance
     tx, rx, elements = scene.transmitter, scene.receiver, scene.surface
     n = len(elements)
 
-    z_rt = mutual_impedance(tx, rx, k, fallback_rel_tol=oracle_rel_tol)
-    z_st = np.array(
-        [mutual_impedance(tx, e, k, fallback_rel_tol=oracle_rel_tol) for e in elements]
-    )
-    z_rs = np.array(
-        [mutual_impedance(e, rx, k, fallback_rel_tol=oracle_rel_tol) for e in elements]
-    )
+    z_rt = mutual_impedance(tx, rx, k)
+    z_st = np.array([mutual_impedance(tx, e, k) for e in elements])
+    z_rs = np.array([mutual_impedance(e, rx, k) for e in elements])
 
     z_ss = np.empty((n, n), dtype=complex)
     for q in range(n):
         for p in range(q, n):
-            value = mutual_impedance(
-                elements[p], elements[q], k,
-                same=(p == q),
-                fallback_rel_tol=oracle_rel_tol,
-            )
+            value = mutual_impedance(elements[p], elements[q], k, same=(p == q))
             z_ss[q, p] = value
             z_ss[p, q] = value
     return ImpedanceSet(z_rt=z_rt, z_rs=z_rs, z_st=z_st, z_ss=z_ss)

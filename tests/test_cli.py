@@ -329,3 +329,13 @@ class TestValidateCommand:
                      "--oracle-tol", "1e-7", "--out", str(out)]) == 0
         report = json.loads((out / "validate.json").read_text())
         assert report["oracle_rel_tol"] == 1e-7
+
+    def test_oracle_tolerance_belongs_to_validate_only(self, tmp_path):
+        # no other command runs quadrature
+        cfg_path = write_config(tmp_path, elements_config(n=1))
+        sweep = ["--param", "frequency", "--from", "3e8", "--to", "3e8",
+                 "--points", "1"]
+        for argv in (["impedance"], ["channel"], ["sweep", *sweep]):
+            with pytest.raises(SystemExit) as exc:
+                main([argv[0], cfg_path, *argv[1:], "--oracle-tol", "1e-7"])
+            assert exc.value.code == 2

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,6 +25,7 @@ from wirecoupling import (
     wavenumber,
     wire_kernel_integral,
 )
+from wirecoupling import impedance
 from wirecoupling.geometry import PairGeometry
 
 FREQ = 3.0e8  # [Hz]
@@ -76,6 +78,34 @@ def field_kernel_oracle(z, geom, k) -> complex:
     return second + k * k * samples[2]
 
 
+def mpmath_mutual_impedance(geom, k, dps=30) -> complex:
+    """mutual_impedance_oracle's integral at dps digits, near-singular
+    source points included.
+
+    Each of the three source waves is integrated on its own, with
+    z = c + rho*sinh(v) around its source point c on the observer axis:
+    exp(-j*k*R)/R dz becomes the smooth exp(-j*k*rho*cosh(v)) dv. The
+    current kink at z = 0 is a breakpoint.
+    """
+    with mpmath.workdps(dps):
+        k = mpmath.mpf(k)
+        rho, dz = mpmath.mpf(geom.rho), mpmath.mpf(geom.dz)
+        h_p, h_q = mpmath.mpf(geom.h_p), mpmath.mpf(geom.h_q)
+        total = mpmath.mpc(0)
+        for xi, coef in ((h_p, 1), (-h_p, 1), (0, -2 * mpmath.cos(k * h_p))):
+            c = xi - dz
+
+            def f(v, c=c):
+                z = c + rho * mpmath.sinh(v)
+                return (mpmath.exp(-1j * k * rho * mpmath.cosh(v))
+                        * mpmath.sin(k * (h_q - abs(z))))
+
+            nodes = [mpmath.asinh((z - c) / rho) for z in (-h_q, 0, h_q)]
+            total += coef * mpmath.quad(f, nodes)
+        scale = 1j * impedance.FREE_SPACE_IMPEDANCE / (4 * mpmath.pi)
+        return complex(scale * total / (mpmath.sin(k * h_p) * mpmath.sin(k * h_q)))
+
+
 class TestSegmentIntegral:
     def test_empty_interval_is_zero(self):
         assert segment_kernel_integral(1, 0.5, 0.1, 0.3, 0.3, K) == 0.0
@@ -110,9 +140,26 @@ class TestSegmentIntegral:
             rev = segment_kernel_integral(-s0, d0, -z0, float(-hi), float(-lo), K)
             assert abs(fwd - rev) <= 1e-12 * max(abs(fwd), 1e-12)
 
-    def test_degenerate_separation_raises(self):
+    def test_source_point_on_axis_raises(self):
+        # d0 = 0 with the source point inside the segment: the integrand
+        # 1/|t| is not integrable there
         with pytest.raises(DegenerateGeometry):
-            segment_kernel_integral(1, 1e-9 * LAM, 0.0, -0.1, 0.1, K)
+            segment_kernel_integral(1, 0.0, 0.0, -0.1, 0.1, K)
+        with pytest.raises(DegenerateGeometry):
+            segment_kernel_integral(-1, 0.0, 0.05, -0.1, 0.1, K)
+
+    @pytest.mark.parametrize("s0", [1, -1])
+    @pytest.mark.parametrize("d0", [0.0, 1e-300, 1e-12 * LAM],
+                             ids=["0", "1e-300", "1e-12lam"])
+    def test_on_axis_against_defining_integral(self, s0, d0):
+        # each segment lies behind the source point for one sign of s0
+        # (on-axis limit) and ahead of it for the other (E1 form)
+        for z0, lo, hi in ((0.6 * LAM, -0.25 * LAM, 0.0),
+                           (-0.3 * LAM, 0.0, 0.25 * LAM),
+                           (2.1 * LAM, 0.4 * LAM, 0.45 * LAM)):
+            value = segment_kernel_integral(s0, d0, z0, lo, hi, K)
+            reference = segment_defining_integral(s0, d0, z0, lo, hi, K)
+            assert abs(value - reference) <= 1e-9 * abs(reference)
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
@@ -121,6 +168,9 @@ class TestSegmentIntegral:
             segment_kernel_integral(1, 0.5, 0.0, 0.2, -0.2, K)
         with pytest.raises(DomainError):
             segment_kernel_integral(1, 0.5, 0.0, -0.1, 0.1, 0.0)
+        for d0 in (-1e-3, math.nan):
+            with pytest.raises(DomainError):
+                segment_kernel_integral(1, d0, 0.0, -0.1, 0.1, K)
 
 
 class TestWireKernel:
@@ -225,6 +275,7 @@ class TestMutualImpedance:
 
     def test_reciprocity(self):
         rng = np.random.default_rng(37)
+        pairs = []
         for _ in range(50):
             p = Dipole(
                 center=(0.0, 0.0, 0.0),
@@ -240,6 +291,13 @@ class TestMutualImpedance:
                 half_length=float(rng.uniform(0.1, 0.45) * LAM),
                 radius=LAM / 1000,
             )
+            pairs.append((p, q))
+        # collinear and near-collinear pairs, disjoint spans
+        for rho in (0.0, 1e-15, 1e-9, 1e-6):
+            p = Dipole((0.0, 0.0, 0.0), 0.21 * LAM, LAM / 1000)
+            q = Dipole((rho * LAM, 0.0, -0.77 * LAM), 0.37 * LAM, LAM / 1000)
+            pairs.append((p, q))
+        for p, q in pairs:
             fwd = mutual_impedance(p, q, K)
             rev = mutual_impedance(q, p, K)
             assert abs(fwd - rev) <= 1e-8 * max(abs(fwd), 1.0)
@@ -256,15 +314,25 @@ class TestMutualImpedance:
         b = mutual_impedance(p2, q2, K)
         assert abs(a - b) <= 1e-10 * abs(a)
 
-    def test_collinear_pair_uses_quadrature_fallback(self):
-        # coaxial wires with disjoint spans: closed form refuses rho = 0,
-        # the public function must still produce the oracle value
+    @pytest.mark.parametrize("rho", [0.0, 1e-15, 1e-9, 1e-6, 1e-5])
+    def test_collinear_pair_closed_form(self, rho):
+        # coaxial and nearly coaxial wires with disjoint spans
         p = half_wave()
-        q = half_wave(z=0.8 * LAM)
+        q = half_wave(x=rho * LAM, z=0.8 * LAM)
         value = mutual_impedance(p, q, K)
-        reference = mutual_impedance_oracle(p, q, K)
-        assert abs(value - reference) <= 1e-9 * abs(reference)
-        assert np.isfinite(value.real) and np.isfinite(value.imag)
+        reference = mutual_impedance_oracle(p, q, K, rel_tol=1e-12)
+        assert abs(value - reference) <= 1e-11 * abs(reference)
+
+    def test_interleaved_near_collinear_pair_matches_mpmath(self):
+        # axes 1e-12 m apart, z spans overlapping by 0.2 lambda: the wave
+        # from the source's upper end peaks 1e-12 m off the observer wire,
+        # where quadrature of its 1/R peak does not converge
+        p = Dipole((0.0, 0.0, 0.0), LAM / 4, 2.5e-13)
+        q = Dipole((1e-12, 0.0, 0.3 * LAM), LAM / 4, 2.5e-13)
+        Scene(p, q, (half_wave(x=LAM),), FREQ)  # an admissible pair
+        value = mutual_impedance(p, q, K)
+        reference = mpmath_mutual_impedance(pair_geometry(p, q), K)
+        assert abs(value - reference) <= 1e-12 * abs(reference)
 
     def test_resonant_length_raises(self):
         p = Dipole(center=(0, 0, 0), half_length=LAM / 2, radius=LAM / 2000)
@@ -321,6 +389,36 @@ class TestAssembly:
         imps = assemble_impedances(scene)
         assert imps.z_st[0] == pytest.approx(imps.z_st[1], rel=1e-10)
         assert imps.z_rs[0] == pytest.approx(imps.z_rs[1], rel=1e-10)
+
+    def test_xz_grid_runs_no_quadrature(self, monkeypatch):
+        # same-column pairs of a vertical grid are collinear
+        surface = build_grid(3, 3, spacing=LAM / 2, half_length=0.23 * LAM,
+                             radius=0.002 * LAM, plane="xz")
+        scene = Scene(half_wave(x=-4.0), half_wave(x=4.0), surface, FREQ)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature ran on a production path")
+
+        monkeypatch.setattr(impedance, "mutual_impedance_oracle", refuse)
+        monkeypatch.setattr(impedance, "adaptive_quad", refuse)
+        imps = assemble_impedances(scene)
+        assert np.all(np.isfinite(imps.z_ss))
+
+    @pytest.mark.parametrize("side, spacing, plane",
+                             [(8, LAM / 8, "xy"), (3, LAM / 2, "xz")],
+                             ids=["xy-8x8", "xz-3x3"])
+    def test_passivity(self, side, spacing, plane):
+        # Re(Z_ss) is the radiated-power matrix, hence PSD, up to the model
+        # error of the self terms: observing each one a radius a off axis
+        # shifts R_pp by (k*a)^2/6 * R_pp at leading order. The bound is
+        # twice that.
+        radius = 0.002 * LAM
+        surface = build_grid(side, side, spacing=spacing,
+                             half_length=0.23 * LAM, radius=radius, plane=plane)
+        scene = Scene(half_wave(x=-4.0), half_wave(x=4.0), surface, FREQ)
+        resistance = assemble_impedances(scene).z_ss.real
+        bound = (K * radius) ** 2 / 3.0 * resistance.diagonal().max()
+        assert np.linalg.eigvalsh(resistance)[0] >= -bound
 
     def test_close_spacing_keeps_diagonal_dominant_in_magnitude(self):
         surface = build_grid(1, 2, spacing=LAM / 10, half_length=LAM / 4,
