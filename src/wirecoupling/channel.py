@@ -9,8 +9,9 @@ computed with an LU solve, never an explicit inverse. A cyclic
 coordinate-ascent optimizer adjusts per-element reactances to maximize
 |h|. Changing one load is a rank-1 update of the system, so each step
 moves a reactance straight to its exact maximizer over the bounds (a
-closed form from Sherman-Morrison); every accepted move is re-checked by
-a full solve.
+closed form from Sherman-Morrison). Each proposed move gets one checked
+factorization, and the factorization of an accepted move serves the
+next step.
 """
 
 from __future__ import annotations
@@ -94,7 +95,13 @@ class ChannelResult:
     condition_estimate: float
 
 
-def _factor_system(system: np.ndarray, cond_cap: float):
+def _solve(imps: ImpedanceSet, entries: np.ndarray, cond_cap: float):
+    """Checked solve of (Z_ss + diag(entries)) x = z_st.
+
+    Returns ((lu, piv), x, h, cond). Raises SingularSystem as described
+    in end_to_end.
+    """
+    system = imps.z_ss + np.diag(entries)
     with warnings.catch_warnings():
         # An exactly singular matrix makes the factorization warn; the
         # condition estimate below turns that case into a typed error.
@@ -105,8 +112,7 @@ def _factor_system(system: np.ndarray, cond_cap: float):
             raise SingularSystem(f"coupling system factorization failed: {exc}")
     if not np.all(np.isfinite(lu)):
         raise SingularSystem("coupling system is singular (non-finite factors)")
-    anorm = np.linalg.norm(system, 1)
-    rcond, info = zgecon(lu, anorm)
+    rcond, info = zgecon(lu, np.linalg.norm(system, 1))
     if info != 0:
         raise SingularSystem(f"condition estimator failed (info = {info})")
     cond = math.inf if rcond == 0 else 1.0 / float(rcond)
@@ -115,7 +121,22 @@ def _factor_system(system: np.ndarray, cond_cap: float):
             f"coupling system condition estimate {cond:.3e} exceeds the "
             f"cap {cond_cap:.3e}"
         )
-    return lu, piv, cond
+
+    rhs = imps.z_st
+    x = lu_solve((lu, piv), rhs)
+    rhs_norm = np.linalg.norm(rhs)
+    residual = np.linalg.norm(system @ x - rhs)
+    if residual > _RESIDUAL_REL_MAX * rhs_norm:
+        # One round of iterative refinement usually recovers the digits.
+        x = x + lu_solve((lu, piv), rhs - system @ x)
+        residual = np.linalg.norm(system @ x - rhs)
+        if residual > _RESIDUAL_REL_MAX * rhs_norm:
+            raise SingularSystem(
+                f"solve residual {residual:.3e} stayed above "
+                f"{_RESIDUAL_REL_MAX:.1e} * |rhs| = "
+                f"{_RESIDUAL_REL_MAX * rhs_norm:.3e}"
+            )
+    return (lu, piv), x, complex(imps.z_rt - np.dot(imps.z_rs, x)), cond
 
 
 def end_to_end(
@@ -138,25 +159,7 @@ def end_to_end(
             f"tuning has {tuning.n_elements} entries, surface has "
             f"{imps.n_elements} elements"
         )
-    system = imps.z_ss + np.diag(tuning.entries)
-    lu, piv, cond = _factor_system(system, cond_cap)
-
-    rhs = imps.z_st
-    x = lu_solve((lu, piv), rhs)
-    rhs_norm = np.linalg.norm(rhs)
-    residual = np.linalg.norm(system @ x - rhs)
-    if residual > _RESIDUAL_REL_MAX * rhs_norm:
-        # One round of iterative refinement usually recovers the digits.
-        x = x + lu_solve((lu, piv), rhs - system @ x)
-        residual = np.linalg.norm(system @ x - rhs)
-        if residual > _RESIDUAL_REL_MAX * rhs_norm:
-            raise SingularSystem(
-                f"solve residual {residual:.3e} stayed above "
-                f"{_RESIDUAL_REL_MAX:.1e} * |rhs| = "
-                f"{_RESIDUAL_REL_MAX * rhs_norm:.3e}"
-            )
-
-    h = complex(imps.z_rt - np.dot(imps.z_rs, x))
+    _, _, h, cond = _solve(imps, tuning.entries, cond_cap)
     if imps.z_rt == 0:
         raise DomainError("gain is undefined for a vanishing direct link")
     if h == 0:
@@ -175,10 +178,12 @@ class OptimizeResult:
     trace: tuple[float, ...] = field(default_factory=tuple)
 
 
-def _coordinate_step(imps: ImpedanceSet, entries: np.ndarray, idx: int,
-                     lo: float, hi: float, cond_cap: float) -> float:
+def _coordinate_step(imps: ImpedanceSet, solved, idx: int, current: float,
+                     lo: float, hi: float) -> float:
     """Reactance in [lo, hi] of element idx that maximizes |h|, the
-    others held fixed (the current reactance when nothing beats it).
+    others held fixed (current, the present reactance, when nothing
+    beats it). solved is the _solve result of the present state; its
+    factorization is reused, so the step factors nothing.
 
     With A = Z_ss + diag(entries), x = A^-1 z_st, y = A^-1 z_rs and
     g = (A^-1)_ii, a reactance change t of element idx is the rank-1
@@ -191,20 +196,16 @@ def _coordinate_step(imps: ImpedanceSet, entries: np.ndarray, idx: int,
     are the real roots of one quadratic. The best of those inside the
     bounds, the two bounds and t = 0 is the exact maximizer.
     """
-    system = imps.z_ss + np.diag(entries)
-    lu, piv, _ = _factor_system(system, cond_cap)
-    unit = np.zeros(entries.shape[0], dtype=complex)
+    lu_piv, x, h, _ = solved
+    unit = np.zeros(x.shape[0], dtype=complex)
     unit[idx] = 1.0
-    sol = lu_solve((lu, piv), np.column_stack((imps.z_st, imps.z_rs, unit)))
-    x_i, y_i, g = sol[idx]
-    h = imps.z_rt - np.dot(imps.z_rs, sol[:, 0])
-    q = h * g + x_i * y_i
+    y_i, g = lu_solve(lu_piv, np.column_stack((imps.z_rs, unit)))[idx]
+    q = h * g + x[idx] * y_i
     # |h(t)|^2 = (a0 + a1 t + a2 t^2) / (b0 + b1 t + b2 t^2)
     a0, a1, a2 = abs(h) ** 2, 2.0 * (h * q.conjugate()).imag, abs(q) ** 2
     b0, b1, b2 = 1.0, -2.0 * g.imag, abs(g) ** 2
     roots = np.roots([a2 * b1 - a1 * b2, 2.0 * (a2 * b0 - a0 * b2),
                       a1 * b0 - a0 * b1])
-    current = entries[idx].imag
     candidates = [current, lo, hi] + [
         current + t.real for t in roots
         if t.imag == 0.0 and lo <= current + t.real <= hi
@@ -226,13 +227,15 @@ def optimize_tuning(
     Cyclic coordinate ascent: each sweep visits the elements in order and
     moves each reactance to its exact maximizer over the bounds, the
     others held fixed (a closed-form rank-1 step, see _coordinate_step).
-    The formula only proposes: the proposed state is re-solved by
-    end_to_end, with its condition cap and residual check, and the move
-    is accepted only when that checked |h_e2e| is strictly larger. The
-    trace of |h_e2e| values is therefore non-decreasing. budget caps the
-    number of full sweeps; the search stops early once a sweep brings no
-    improvement, so the run converged exactly when the last two trace
-    entries are equal and stopped at the budget otherwise.
+    The formula only proposes: the proposed state gets one checked
+    factorization and solve, with end_to_end's condition cap and residual
+    gate, and the move is accepted only when that checked |h_e2e| is
+    strictly larger. The accepted factorization then serves the next
+    step, so each proposed move costs one LU. The trace of |h_e2e| values
+    is therefore non-decreasing. budget caps the number of full sweeps;
+    the search stops early once a sweep brings no improvement, so the run
+    converged exactly when the last two trace entries are equal and
+    stopped at the budget otherwise.
 
     Real parts of the entries are held fixed; with reactance_only set
     they are all zero. The procedure is deterministic.
@@ -243,46 +246,42 @@ def optimize_tuning(
     if not isinstance(budget, int) or budget < 1:
         raise DomainError("optimizer budget must be an integer >= 1")
 
-    lo, hi = init.reactance_bounds
-    entries = init.entries.copy()
-
-    def evaluate(vec) -> ChannelResult:
-        state = TuningState(vec, reactance_only=False,
-                            reactance_bounds=init.reactance_bounds)
-        return end_to_end(imps, state, cond_cap=cond_cap)
-
+    # end_to_end checks the length and the gain's DomainErrors once;
+    # the steps then work from _solve's factorization.
     try:
-        best_res = evaluate(entries)
+        end_to_end(imps, init, cond_cap=cond_cap)
     except SingularSystem as exc:
         raise SingularSystem(
             f"every probed tuning state failed to solve: the initial "
             f"state is unsolvable ({exc})"
         )
-    best_obj = abs(best_res.h_e2e)
-    trace = [best_obj]
+    lo, hi = init.reactance_bounds
+    entries = init.entries.copy()
+    solved = _solve(imps, entries, cond_cap)
+    trace = [abs(solved[2])]
 
     for _ in range(budget):
         improved = False
         for idx in range(entries.shape[0]):
             current = entries[idx]
-            target = _coordinate_step(imps, entries, idx, lo, hi, cond_cap)
+            target = _coordinate_step(imps, solved, idx, current.imag, lo, hi)
             if target == current.imag:
                 continue
             entries[idx] = current.real + 1j * target
             try:
-                res = evaluate(entries)
+                proposal = _solve(imps, entries, cond_cap)
             except SingularSystem:
-                res = None
-            if res is not None and abs(res.h_e2e) > best_obj:
-                best_res, best_obj = res, abs(res.h_e2e)
-                improved = True
+                proposal = None
+            if proposal is not None and abs(proposal[2]) > abs(solved[2]):
+                solved, improved = proposal, True
             else:
                 entries[idx] = current
-        trace.append(best_obj)
+        trace.append(abs(solved[2]))
         if not improved:
             break
 
     final_state = TuningState(entries, reactance_only=init.reactance_only,
                               reactance_bounds=init.reactance_bounds)
-    return OptimizeResult(tuning=final_state, channel=best_res,
+    return OptimizeResult(tuning=final_state,
+                          channel=end_to_end(imps, final_state, cond_cap),
                           trace=tuple(trace))

@@ -86,13 +86,15 @@ def _cmd_impedance(cfg: SceneConfig, args) -> int:
     return 0
 
 
-def _tuned_channel(cfg: SceneConfig, scene, imps, command: str):
-    """Channel of one scene under the config's tuning directive.
+def _tuned_channel(cfg: SceneConfig, scene, command: str):
+    """Assemble one scene and evaluate its channel under the config's
+    tuning directive.
 
     Returns (channel, optimize result or None). An optimize directive
     starts from zero reactance clipped into its bounds; fixed entries are
     sized to the scene by tuning_for_scene.
     """
+    imps = assemble_impedances(scene)
     spec = cfg.optimize
     if spec is not None:
         lo, hi = spec.reactance_bounds
@@ -113,8 +115,7 @@ def _tuned_channel(cfg: SceneConfig, scene, imps, command: str):
 
 def _cmd_channel(cfg: SceneConfig, args) -> int:
     out = _out_dir(cfg, args)
-    imps = assemble_impedances(cfg.scene)
-    result, opt = _tuned_channel(cfg, cfg.scene, imps, "channel")
+    result, opt = _tuned_channel(cfg, cfg.scene, "channel")
     payload = {
         "h_e2e_re_ohm": result.h_e2e.real,
         "h_e2e_im_ohm": result.h_e2e.imag,
@@ -138,21 +139,19 @@ def _cmd_channel(cfg: SceneConfig, args) -> int:
     return 0
 
 
-def _sweep_row(cfg: SceneConfig, parameter: str, value: float) -> dict:
+def _sweep_row(cfg: SceneConfig, parameter: str, value: float):
+    """(n_elements, channel) of one sweep point."""
     scene = resolve_sweep_scene(cfg, parameter, value)
-    imps = assemble_impedances(scene)
-    result, _ = _tuned_channel(cfg, scene, imps, "sweep")
-    return {
-        "n_elements": scene.n_elements,
-        "h": result.h_e2e,
-        "gain_db": result.gain_db,
-    }
+    return scene.n_elements, _tuned_channel(cfg, scene, "sweep")[0]
 
 
 def _cmd_sweep(cfg: SceneConfig, args) -> int:
-    out = _out_dir(cfg, args)
     if args.points < 1:
         raise ConfigError("sweep --points must be at least 1")
+    if not math.isfinite(args.stop - args.start):
+        raise ConfigError(f"sweep --from and --to must be finite, with a "
+                          f"finite span; got {args.start!r}, {args.stop!r}")
+    out = _out_dir(cfg, args)
     values = np.linspace(args.start, args.stop, args.points)
 
     lines = ["index,parameter,value,n_elements,"
@@ -161,17 +160,17 @@ def _cmd_sweep(cfg: SceneConfig, args) -> int:
     for i, value in enumerate(values):
         value = float(value)
         try:
-            row = _sweep_row(cfg, args.parameter, value)
+            n_elements, result = _sweep_row(cfg, args.parameter, value)
         except WireCouplingError as exc:
             failures += 1
             lines.append(
                 f"{i},{args.parameter},{value!r},,,,,,{type(exc).__name__}"
             )
             continue
-        h = row["h"]
+        h = result.h_e2e
         lines.append(
-            f"{i},{args.parameter},{value!r},{row['n_elements']},"
-            f"{h.real!r},{h.imag!r},{abs(h)!r},{row['gain_db']!r},ok"
+            f"{i},{args.parameter},{value!r},{n_elements},"
+            f"{h.real!r},{h.imag!r},{abs(h)!r},{result.gain_db!r},ok"
         )
     _write_text(out / "sweep.csv", "\n".join(lines) + "\n")
     print(
@@ -205,9 +204,9 @@ def _validate_draws(scene, rng, samples: int):
 
 
 def _cmd_validate(cfg: SceneConfig, args) -> int:
-    out = _out_dir(cfg, args)
     if args.samples < 1:
         raise ConfigError("validate --samples must be at least 1")
+    out = _out_dir(cfg, args)
     k = cfg.scene.wavenumber
     rng = np.random.default_rng(args.seed)
 

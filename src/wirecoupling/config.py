@@ -365,6 +365,8 @@ def resolve_sweep_scene(cfg: SceneConfig, parameter: str, value: float) -> Scene
             f"sweep parameter must be one of {', '.join(SWEEP_PARAMETERS)}; "
             f"got {parameter!r}"
         )
+    if not math.isfinite(value):
+        raise ConfigError(f"sweep {parameter} must be finite, got {value!r}")
     if parameter == "frequency":
         if not value > 0:
             raise ConfigError(f"sweep frequency must be positive, got {value!r}")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import wirecoupling.channel
 from wirecoupling import (
     Dipole,
     DomainError,
@@ -13,6 +14,7 @@ from wirecoupling import (
     SingularSystem,
     TuningState,
     assemble_impedances,
+    build_grid,
     end_to_end,
     optimize_tuning,
     wavelength,
@@ -34,8 +36,6 @@ def single_element_imps() -> ImpedanceSet:
 
 
 def two_element_imps() -> ImpedanceSet:
-    from wirecoupling import build_grid
-
     surface = build_grid(1, 2, spacing=LAM / 8, half_length=LAM / 4,
                          radius=LAM / 2000)
     scene = Scene(half_wave(y=-2.5), half_wave(y=2.5), surface, FREQ)
@@ -209,6 +209,18 @@ def random_single_element_imps(seed: int) -> ImpedanceSet:
     return assemble_impedances(Scene(tx, rx, (element,), FREQ))
 
 
+def grid_4x4_imps() -> ImpedanceSet:
+    # 4 x 4 lambda/8 grid of 0.23 lambda wires between a transmitter and
+    # a receiver 6 lambda apart, at a frequency where lambda is 1 m.
+    def wire(center):
+        return Dipole(center, half_length=0.23, radius=0.002)
+
+    surface = build_grid(4, 4, spacing=0.125, half_length=0.23, radius=0.002)
+    scene = Scene(wire((0.0, -3.0, 0.0)), wire((0.0, 3.0, 0.0)), surface,
+                  299_792_458.0)
+    return assemble_impedances(scene)
+
+
 class TestOptimizer:
     @pytest.mark.parametrize("seed", range(6))
     def test_exact_step_matches_dense_scan(self, seed):
@@ -304,6 +316,39 @@ class TestOptimizer:
             optimize_tuning(imps, init, budget=0)
         with pytest.raises(DomainError):
             optimize_tuning(imps, init, budget=2.0)
+
+    def test_one_factorization_per_proposed_move(self, monkeypatch):
+        # Each step reuses the factorization of the accepted state, so a
+        # run factors once per proposal plus a fixed few at start and end.
+        calls = []
+        factor = wirecoupling.channel.lu_factor
+
+        def counting_factor(*args, **kwargs):
+            calls.append(1)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(wirecoupling.channel, "lu_factor", counting_factor)
+        imps = grid_4x4_imps()
+        result = optimize_tuning(imps, TuningState.from_reactances(np.zeros(16)))
+        assert len(calls) <= 16 * (len(result.trace) - 1) + 3
+
+    def test_budget_20_on_4x4_grid(self):
+        imps = grid_4x4_imps()
+        result = optimize_tuning(imps, TuningState.from_reactances(np.zeros(16)),
+                                 budget=20)
+        assert len(result.trace) == 21
+        assert result.channel.gain_db == pytest.approx(4.3283307037, abs=1e-9)
+
+    def test_condition_cap_rejects_probes_mid_run(self):
+        # A cap of three times the starting estimate lets the run start
+        # but refuses some of the proposed moves along the way.
+        imps = grid_4x4_imps()
+        init = TuningState.from_reactances(np.zeros(16))
+        cap = 3.0 * end_to_end(imps, init).condition_estimate
+        result = optimize_tuning(imps, init, cond_cap=cap)
+        assert result.channel.condition_estimate <= cap
+        assert np.all(np.diff(result.trace) >= 0.0)
+        assert result.channel.gain_db == pytest.approx(3.4802222587, abs=1e-9)
 
     def test_unsolvable_everywhere_raises(self):
         imps = single_element_imps()

@@ -285,6 +285,25 @@ class TestSweepCommand:
                      "--from", "0.1", "--to", "0.2", "--points", "0",
                      "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("param, start, stop, points, message", [
+        ("n_elements", "nan", "4", "2", "finite"),
+        ("frequency", "3e8", "inf", "2", "finite"),
+        ("frequency", "-inf", "3e8", "1", "finite"),
+        ("spacing", "0.1", "nan", "3", "finite"),
+        ("frequency", "-1e308", "1e308", "3", "finite span"),
+        ("spacing", "0.1", "0.2", "0", "--points"),
+    ])
+    def test_bad_input_exits_1_before_any_output(self, tmp_path, capsys,
+                                                 param, start, stop, points,
+                                                 message):
+        cfg_path = write_config(tmp_path, grid_config(rows=2, cols=2))
+        out = tmp_path / "o"
+        assert main(["sweep", cfg_path, "--param", param, f"--from={start}",
+                     f"--to={stop}", "--points", points,
+                     "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestValidateCommand:
     def test_report_passes_and_is_deterministic(self, tmp_path):
@@ -305,6 +324,13 @@ class TestValidateCommand:
         assert report["comparisons"][9]["same"] is True
         for row in report["comparisons"]:
             assert row["rel_err"] <= 1e-6
+
+    def test_bad_sample_count_exits_1_before_any_output(self, tmp_path):
+        cfg_path = write_config(tmp_path, elements_config(n=1))
+        out = tmp_path / "o"
+        assert main(["validate", cfg_path, "--samples", "0",
+                     "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_single_sample(self, tmp_path):
         cfg_path = write_config(tmp_path, elements_config(n=1))

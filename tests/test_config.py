@@ -267,6 +267,14 @@ class TestSweepResolution:
         with pytest.raises(ConfigError, match="sweep parameter"):
             resolve_sweep_scene(cfg, "height", 1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("parameter", ["spacing", "frequency",
+                                           "n_elements"])
+    def test_non_finite_value_rejected(self, parameter, value):
+        cfg = parse_scene_config(grid_config())
+        with pytest.raises(ConfigError, match="finite"):
+            resolve_sweep_scene(cfg, parameter, value)
+
 
 class TestTuningForScene:
     def test_broadcast_entry_follows_element_count(self):
