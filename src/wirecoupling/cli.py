@@ -92,10 +92,17 @@ def _tuned_channel(cfg: SceneConfig, scene, command: str):
 
     Returns (channel, optimize result or None). An optimize directive
     starts from zero reactance clipped into its bounds; fixed entries are
-    sized to the scene by tuning_for_scene.
+    sized to the scene by tuning_for_scene. A missing or ill-sized tuning
+    section raises ConfigError before the scene is assembled.
     """
-    imps = assemble_impedances(scene)
     spec = cfg.optimize
+    tuning = None if spec is not None else tuning_for_scene(cfg, scene)
+    if spec is None and tuning is None:
+        raise ConfigError(
+            f"tuning: required by the {command} command (fixed entries or "
+            f"an optimize directive)"
+        )
+    imps = assemble_impedances(scene)
     if spec is not None:
         lo, hi = spec.reactance_bounds
         init = TuningState.from_reactances(
@@ -104,18 +111,12 @@ def _tuned_channel(cfg: SceneConfig, scene, command: str):
         )
         opt = optimize_tuning(imps, init, budget=spec.budget)
         return opt.channel, opt
-    tuning = tuning_for_scene(cfg, scene)
-    if tuning is None:
-        raise ConfigError(
-            f"tuning: required by the {command} command (fixed entries or "
-            f"an optimize directive)"
-        )
     return end_to_end(imps, tuning), None
 
 
 def _cmd_channel(cfg: SceneConfig, args) -> int:
-    out = _out_dir(cfg, args)
     result, opt = _tuned_channel(cfg, cfg.scene, "channel")
+    out = _out_dir(cfg, args)
     payload = {
         "h_e2e_re_ohm": result.h_e2e.real,
         "h_e2e_im_ohm": result.h_e2e.imag,

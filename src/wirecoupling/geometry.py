@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import GeometryError
 
 SPEED_OF_LIGHT = 299_792_458.0  # [m/s], exact by definition
@@ -18,6 +20,8 @@ SPEED_OF_LIGHT = 299_792_458.0  # [m/s], exact by definition
 # The sinusoidal-current model assumes electrically thin wires; enforce a
 # hard slenderness margin instead of degrading silently.
 THIN_WIRE_RATIO = 0.1  # radius must stay below this fraction of half_length
+
+_OVERLAP_ROWS = 256  # rows per block of the pairwise overlap check
 
 
 def wavelength(frequency_hz: float) -> float:
@@ -127,16 +131,23 @@ def _first_overlap(wires) -> tuple[int, int] | None:
     """Index pair (i, j), i < j, of the first two colliding wires, or None.
 
     Two parallel wires collide when their axes come closer than the sum of
-    the radii while their z spans intersect.
+    the radii while their z spans intersect. "First" is the smallest i,
+    then the smallest j. Rows are checked against all wires in blocks of
+    _OVERLAP_ROWS, so the distance tables stay bounded at any N.
     """
-    for i, p in enumerate(wires):
-        for j in range(i + 1, len(wires)):
-            q = wires[j]
-            d = math.hypot(q.center[0] - p.center[0], q.center[1] - p.center[1])
-            if (d <= p.radius + q.radius
-                    and abs(q.center[2] - p.center[2])
-                    <= p.half_length + q.half_length):
-                return i, j
+    centers = np.array([w.center for w in wires], dtype=float)
+    half = np.array([w.half_length for w in wires])
+    radius = np.array([w.radius for w in wires])
+    n = len(wires)
+    for start in range(0, n, _OVERLAP_ROWS):
+        i = np.arange(start, min(start + _OVERLAP_ROWS, n))[:, None]
+        d = centers - centers[i]
+        hit = ((np.arange(n) > i)
+               & (np.hypot(d[..., 0], d[..., 1]) <= radius[i] + radius)
+               & (np.abs(d[..., 2]) <= half[i] + half))
+        if hit.any():
+            row, col = np.unravel_index(np.argmax(hit), hit.shape)
+            return start + int(row), int(col)
     return None
 
 

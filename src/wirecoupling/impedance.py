@@ -5,14 +5,14 @@ sin(k*(h - |z|)) / sin(k*h), normalized to unit feed current. The mutual
 impedance between two wires is the field of one integrated against the
 current of the other. That coupling integral reduces to combinations of
 the complex exponential integral for every admissible pair, collinear
-ones included. This module provides that closed form, the assembly of a
-scene's full coupling set from it, and an adaptive-quadrature oracle of
-the defining integral that only tests and validation call.
+ones included. This module provides that closed form as one kernel over
+arrays of wire pairs, the assembly of a scene's full coupling set from
+it in one batched call, and an adaptive-quadrature oracle of the
+defining integral that only tests and validation call.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -28,26 +28,30 @@ FREE_SPACE_IMPEDANCE = 376.730313668  # [ohm]
 # Guard for the 1/sin(k*h) current normalization near h = m*lambda/2.
 SIN_MIN = 1e-6
 
+# Wire pairs per kernel call. Each pair has 12 segments and 24 E1
+# arguments, so every temporary of a chunk stays near 25k elements
+# however large the scene; larger chunks ran no faster at N = 64 to 1024.
+PAIR_CHUNK = 1024
 
-def _sin_or_raise(h: float, k: float, role: str) -> float:
-    s = math.sin(k * h)
-    if abs(s) <= SIN_MIN:
+
+def _first(values, mask):
+    """First entry of values where mask holds, as a Python number."""
+    return np.broadcast_to(values, np.shape(mask))[mask][0].item()
+
+
+def _sin_or_raise(h, k: float, role: str):
+    s = np.sin(k * np.asarray(h, dtype=float))
+    bad = np.abs(s) <= SIN_MIN
+    if np.any(bad):
         raise ResonantLength(
-            f"{role} half-length {h:.6g} m sits within the guard band of a "
-            f"current-normalization zero (|sin(k*h)| = {abs(s):.2e}); "
-            "change the length or the frequency"
+            f"{role} half-length {_first(h, bad):.6g} m sits within the guard "
+            f"band of a current-normalization zero (|sin(k*h)| = "
+            f"{abs(_first(s, bad)):.2e}); change the length or the frequency"
         )
     return s
 
 
-def segment_kernel_integral(
-    s0: int,
-    d0: float,
-    z0: float,
-    z_lo: float,
-    z_hi: float,
-    k: float,
-) -> complex:
+def segment_kernel_integral(s0, d0, z0, z_lo, z_hi, k: float):
     """Integral of exp(-j*k*(R + s0*t))/R over t in [z_lo, z_hi].
 
     R = sqrt(d0^2 + (t - z0)^2) is the distance from a point offset z0
@@ -58,65 +62,80 @@ def segment_kernel_integral(
     rewritten as d0^2 / (sqrt(d0^2 + t^2) - s0*t) to avoid losing all
     significant digits.
 
+    Every argument but k broadcasts: scalars give a complex, arrays give
+    a complex array of the broadcast shape, and all its E1 values come
+    from one exp_integral_e1 call.
+
     On-axis limit: with the segment behind the source point (s0*(t - z0)
     < 0 throughout) and d0 <= 1e-8 * min|t - z0|, the phase is constant
     and the integrand 1/|t - z0| to double precision, so the result is
     exp(-j*k*s0*z0) * |ln((z_hi - z0) / (z_lo - z0))|. Collinear pairs
     (d0 = 0) with disjoint spans take this path.
 
-    Raises DegenerateGeometry when d0*d0 underflows and, outside that
-    limit, the segment reaches s0*(t - z0) <= 0 (it passes through its
-    source point, a singularity); DomainError for a negative or NaN d0,
-    an invalid sign or a reversed interval. An empty interval (z_lo ==
-    z_hi) integrates to zero.
+    Raises DegenerateGeometry when, for some segment, d0*d0 underflows
+    and, outside that limit, the segment reaches s0*(t - z0) <= 0 (it
+    passes through its source point, a singularity); DomainError for a
+    negative or NaN d0, an invalid sign, a reversed interval or k <= 0.
+    An empty interval (z_lo == z_hi) integrates to zero.
     """
-    if s0 not in (1, -1):
-        raise DomainError(f"segment_kernel_integral: s0 must be +1 or -1, got {s0!r}")
+    # Scalars run as one-element arrays, through the same numpy loops as
+    # a batch, so a scalar call returns bit for bit its batched value.
+    scalar = all(np.ndim(v) == 0 for v in (s0, d0, z0, z_lo, z_hi))
+    s0, d0, z0, z_lo, z_hi = np.broadcast_arrays(
+        *(np.atleast_1d(v) for v in (s0, d0, z0, z_lo, z_hi)))
+    bad = (s0 != 1) & (s0 != -1)
+    if np.any(bad):
+        raise DomainError("segment_kernel_integral: s0 must be +1 or -1, "
+                          f"got {_first(s0, bad)!r}")
     if not k > 0:
         raise DomainError("segment_kernel_integral: k must be positive")
-    if not d0 >= 0.0:
-        raise DomainError(f"segment_kernel_integral: d0 must be >= 0, got {d0!r}")
-    if z_hi < z_lo:
+    bad = ~(d0 >= 0.0)
+    if np.any(bad):
+        raise DomainError("segment_kernel_integral: d0 must be >= 0, "
+                          f"got {_first(d0, bad)!r}")
+    if np.any(z_hi < z_lo):
         raise DomainError("segment_kernel_integral: requires z_lo <= z_hi")
-    if z_lo == z_hi:
-        return 0.0 + 0.0j
 
-    lo, hi = z_lo - z0, z_hi - z0
+    t = np.stack([z_lo - z0, z_hi - z0])
+    behind = s0 * t < 0.0
+    empty = z_lo == z_hi
     # Behind the source point with (d0/t)^2 <= 1e-16: R = |t| and
     # R + s0*t = d0^2/(R - s0*t) <= 1e-16*|t|/2, both to double precision.
-    if s0 * lo < 0.0 and s0 * hi < 0.0 and d0 <= 1e-8 * min(abs(lo), abs(hi)):
-        return cmath.exp(-1j * k * s0 * z0) * abs(math.log(hi / lo))
-    if d0 * d0 < sys.float_info.min and min(s0 * lo, s0 * hi) <= 0.0:
+    on_axis = ~empty & behind.all(axis=0) & (d0 <= 1e-8 * np.abs(t).min(axis=0))
+    degenerate = (~(empty | on_axis) & (d0 * d0 < sys.float_info.min)
+                  & ~(s0 * t > 0.0).all(axis=0))
+    if np.any(degenerate):
         raise DegenerateGeometry(
-            f"segment [{z_lo:.6g}, {z_hi:.6g}] m passes through its source "
-            f"point at {z0:.6g} m on the axis: the kernel integral is singular"
+            f"segment [{_first(z_lo, degenerate):.6g}, "
+            f"{_first(z_hi, degenerate):.6g}] m passes through its source "
+            f"point at {_first(z0, degenerate):.6g} m on the axis: the "
+            "kernel integral is singular"
         )
 
-    def radical(t: float) -> float:
-        r = math.hypot(d0, t)
-        if s0 * t >= 0.0:
-            return r + s0 * t
-        return d0 * d0 / (r - s0 * t)
+    # Segments that need no E1 get the harmless argument t = 1 at both
+    # ends, so an empty one takes the exact difference 0 below.
+    skip = empty | on_axis
+    t_e1 = np.where(skip, 1.0, t)
+    r_plus = np.hypot(d0, t_e1) + np.abs(t_e1)
+    radical = np.where(behind & ~skip, d0 * d0 / r_plus, r_plus)
+    e1 = exp_integral_e1(1j * (k * radical))
+    phase = np.exp(-1j * k * s0 * z0)
+    log_ratio = np.log(np.divide(t[1], t[0], out=np.ones(t.shape[1:]),
+                                 where=on_axis))
+    value = np.where(on_axis, phase * np.abs(log_ratio),
+                     s0 * phase * (e1[0] - e1[1]))
+    return complex(value[0]) if scalar else value
 
-    lower = radical(lo)
-    upper = radical(hi)
-    diff = exp_integral_e1(1j * k * lower) - exp_integral_e1(1j * k * upper)
-    return s0 * cmath.exp(-1j * k * s0 * z0) * diff
 
-
-def wire_kernel_integral(
-    xi_p: float,
-    s0: int,
-    geom: PairGeometry,
-    k: float,
-) -> complex:
+def wire_kernel_integral(xi_p, s0, geom: PairGeometry, k: float):
     """Spherical-wave kernel integrated over the observer wire.
 
     Evaluates the integral of exp(-j*k*(R + s0*|z|))/R for z across the
     observer extent [-h_q, +h_q], with R measured from the source-wire
     point xi_p (one of -h_p, 0, +h_p in the impedance assembly). The |z|
     in the phase splits the run into two segment integrals joined at
-    z = 0, each handled in closed form.
+    z = 0, each handled in closed form. xi_p and s0 broadcast as in
+    segment_kernel_integral.
     """
     z0 = xi_p - geom.dz
     lower_half = segment_kernel_integral(-s0, geom.rho, z0, -geom.h_q, 0.0, k)
@@ -164,6 +183,48 @@ def axial_field_kernel(z: float, geom: PairGeometry, k: float) -> complex:
     return complex(k / s * _field_terms(float(z), geom.rho, geom.dz, geom.h_p, k))
 
 
+def _closed_form(rho, dz, h_p, h_q, k: float) -> np.ndarray:
+    """Coupling impedances of the pairs given as equal-length 1-D arrays
+    of PairGeometry fields, in one segment_kernel_integral call."""
+    sin_p = _sin_or_raise(h_p, k, "source")
+    sin_q = _sin_or_raise(h_q, k, "observer")
+    cos_p = np.cos(k * h_p)
+    # Segment axes: s0 in (+1, -1), source point xi_p in (+h_p, -h_p, 0),
+    # observer half in (lower, upper), pair. The phase s0*|z| gives the
+    # lower half the sign -s0.
+    s0 = np.array([1, -1]).reshape(2, 1, 1, 1)
+    sign = s0 * np.array([-1, 1]).reshape(2, 1)
+    zero = np.zeros_like(h_q)
+    z0 = np.stack([h_p, -h_p, zero])[:, None, :] - dz
+    seg = segment_kernel_integral(sign, rho, z0, np.stack([-h_q, zero]),
+                                  np.stack([zero, h_q]), k)
+    wire = seg[:, :, 0] + seg[:, :, 1]  # wire_kernel_integral(xi_p, s0)
+    inner = wire[:, 0] + wire[:, 1] - 2.0 * cos_p * wire[:, 2]
+    total = (np.exp(1j * k * h_q) * inner[0]
+             - np.exp(-1j * k * h_q) * inner[1])
+    return FREE_SPACE_IMPEDANCE * total / (8.0 * math.pi * sin_p * sin_q)
+
+
+def _couplings(wires, src, obs, k: float) -> np.ndarray:
+    """Impedances of the pairs (wires[src[i]] -> wires[obs[i]]); a wire
+    paired with itself is observed on its own surface, as in
+    pair_geometry with same=True."""
+    centers = np.array([w.center for w in wires], dtype=float)
+    half = np.array([w.half_length for w in wires])
+    radius = np.array([w.radius for w in wires])
+    src, obs = np.asarray(src), np.asarray(obs)
+    same = src == obs
+    d = centers[obs] - centers[src]
+    rho = np.where(same, radius[obs], np.hypot(d[:, 0], d[:, 1]))
+    dz = np.where(same, 0.0, d[:, 2])
+    values = np.empty(src.shape, dtype=complex)
+    for start in range(0, src.size, PAIR_CHUNK):
+        part = slice(start, start + PAIR_CHUNK)
+        values[part] = _closed_form(rho[part], dz[part], half[src[part]],
+                                    half[obs[part]], k)
+    return values
+
+
 def mutual_impedance(
     source: Dipole,
     observer: Dipole,
@@ -173,8 +234,8 @@ def mutual_impedance(
     """Coupling impedance in ohms between two wires, closed form.
 
     Open-circuit voltage induced at the observer feed per unit source
-    feed current. The self term (same=True) observes the wire on its own
-    surface, one radius off the axis.
+    feed current. The self term (same=True, with the same wire in both
+    slots) observes the wire on its own surface, one radius off the axis.
 
     The result combines six wire_kernel_integral evaluations:
 
@@ -185,25 +246,16 @@ def mutual_impedance(
 
     The same expression covers every admissible pair, collinear ones
     through the on-axis limit of segment_kernel_integral; no pair is
-    integrated numerically.
+    integrated numerically. This is a one-pair call of the kernel that
+    assemble_impedances runs over all pairs of a scene, and it returns
+    bit for bit the value the assembly gives that pair.
 
     Raises ResonantLength when either wire length defeats the sinusoidal
     current normalization, and DegenerateGeometry for collinear wires
     whose spans touch or overlap, which Scene already rejects.
     """
-    geom = pair_geometry(source, observer, same)
-    sin_p = _sin_or_raise(geom.h_p, k, "source")
-    sin_q = _sin_or_raise(geom.h_q, k, "observer")
-    cos_p = math.cos(k * geom.h_p)
-    total = 0.0 + 0.0j
-    for s0 in (1, -1):
-        i_top = wire_kernel_integral(geom.h_p, s0, geom, k)
-        i_bot = wire_kernel_integral(-geom.h_p, s0, geom, k)
-        i_feed = wire_kernel_integral(0.0, s0, geom, k)
-        total += s0 * cmath.exp(1j * s0 * k * geom.h_q) * (
-            i_top + i_bot - 2.0 * cos_p * i_feed
-        )
-    return FREE_SPACE_IMPEDANCE * total / (8.0 * math.pi * sin_p * sin_q)
+    wires = (source,) if same else (source, observer)
+    return complex(_couplings(wires, [0], [len(wires) - 1], k)[0])
 
 
 def mutual_impedance_oracle(
@@ -292,22 +344,29 @@ def assemble_impedances(scene: Scene) -> ImpedanceSet:
     """Compute every coupling impedance of a scene.
 
     Uses the closed form for every pair, collinear ones included; no
-    quadrature runs. The surface matrix is filled on the upper triangle and
-    mirrored; reciprocity of the underlying formula is covered by tests,
-    so the mirror halves the assembly cost without hiding anything.
+    quadrature runs. z_rt is one mutual_impedance call; the 2N
+    transmitter/receiver pairs and the N(N+1)/2 pairs of the upper
+    triangle of z_ss go through the same kernel as one batch, evaluated
+    in chunks of PAIR_CHUNK pairs. The triangle is mirrored; reciprocity
+    of the underlying formula is covered by tests, so the mirror halves
+    the assembly cost without hiding anything.
     """
     k = scene.wavenumber
-    tx, rx, elements = scene.transmitter, scene.receiver, scene.surface
-    n = len(elements)
-
-    z_rt = mutual_impedance(tx, rx, k)
-    z_st = np.array([mutual_impedance(tx, e, k) for e in elements])
-    z_rs = np.array([mutual_impedance(e, rx, k) for e in elements])
+    n = scene.n_elements
+    z_rt = mutual_impedance(scene.transmitter, scene.receiver, k)
+    wires = (scene.transmitter, scene.receiver) + scene.surface
+    element = np.arange(2, n + 2)
+    q, p = np.triu_indices(n)  # z_ss[q, p] couples source p to observer q
+    src = np.concatenate([np.zeros(n, int), element, p + 2])
+    obs = np.concatenate([element, np.ones(n, int), q + 2])
+    values = _couplings(wires, src, obs, k)
 
     z_ss = np.empty((n, n), dtype=complex)
-    for q in range(n):
-        for p in range(q, n):
-            value = mutual_impedance(elements[p], elements[q], k, same=(p == q))
-            z_ss[q, p] = value
-            z_ss[p, q] = value
-    return ImpedanceSet(z_rt=z_rt, z_rs=z_rs, z_st=z_st, z_ss=z_ss)
+    z_ss[q, p] = values[2 * n:]
+    z_ss[p, q] = values[2 * n:]
+    return ImpedanceSet(
+        z_rt=z_rt,
+        z_rs=values[n:2 * n],
+        z_st=values[:n],
+        z_ss=z_ss,
+    )

@@ -1,0 +1,50 @@
+"""The benchmark in bench/ still reads this package.
+
+Runs the tiny workloads of bench/test_bench.py through bench/run.py, one
+fresh child process per request as in a benchmark run, untraced and
+traced. Every output must pass the benchmark's oracle check and every
+reported metric must be a finite number: a metric that divides by a
+counter the package no longer feeds reads null instead.
+"""
+
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+sys.path.insert(0, str(BENCH))
+
+import run  # noqa: E402
+from test_bench import TINY  # noqa: E402
+
+# Spans each workload must reach, named by the metric that counts or
+# times them; the rest of child.TARGETS (oracle, quadrature) stay idle.
+CALLED = ("config.load_s", "geometry.scene_validate_s", "impedance.assemble_s",
+          "impedance.pairs", "special.e1_calls", "channel.end_to_end_calls",
+          "channel.lu_factor_s")
+CALLED_BY = {
+    "grid-sweep": ("config.resolve_sweep_s", "geometry.build_grid_s"),
+    "jitter-channel": (),
+    "optimize": ("geometry.build_grid_s", "channel.optimize_s"),
+}
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_every_metric_is_a_number(name, trace, tmp_path, monkeypatch):
+    monkeypatch.setattr(run, "WORK", tmp_path / "work")
+    report = run.run(TINY[name](), seed=0, seconds=0.0, trace=trace)
+    result = report["result"]
+    assert result["correct"] and result["failed"] == 0, report["failures"]
+    metrics = {k: m["value"] for k, m in result["metrics"].items()}
+    units = run.PER_LAYER_UNITS if trace else run.END_TO_END_UNITS
+    assert set(metrics) == set(units)
+    for key, value in metrics.items():
+        assert isinstance(value, (int, float)) and not isinstance(value, bool), key
+        assert math.isfinite(value), key
+    if trace:
+        assert report["missing_targets"] == []
+        for key in CALLED + CALLED_BY[name]:
+            assert metrics[key] > 0, key

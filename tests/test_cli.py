@@ -17,6 +17,7 @@ from wirecoupling import (
     wavelength,
     wavenumber,
 )
+from wirecoupling import cli
 from wirecoupling.cli import main
 
 FREQ = 3.0e8  # [Hz]
@@ -156,10 +157,17 @@ class TestChannelCommand:
         payload = json.loads((out / "channel.json").read_text())
         assert abs(payload["gain_db"]) <= 1e-5
 
-    def test_missing_tuning_exits_1(self, tmp_path, capsys):
+    def test_missing_tuning_exits_1(self, tmp_path, capsys, monkeypatch):
+        # refused before any output and before the scene is assembled
+        def refuse(scene):
+            raise AssertionError("assembled a scene that has no tuning")
+
+        monkeypatch.setattr(cli, "assemble_impedances", refuse)
         cfg_path = write_config(tmp_path, elements_config(tuning_im=None))
-        assert main(["channel", cfg_path, "--out", str(tmp_path / "o")]) == 1
+        out = tmp_path / "o"
+        assert main(["channel", cfg_path, "--out", str(out)]) == 1
         assert "tuning" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_optimize_directive(self, tmp_path):
         data = elements_config(n=2, tuning_im=None)
@@ -336,6 +344,15 @@ class TestValidateCommand:
         cfg_path = write_config(tmp_path, elements_config(n=1))
         assert main(["validate", cfg_path, "--samples", "1",
                      "--out", str(tmp_path / "o")]) == 0
+
+    def test_max_error_stays_at_the_scalar_kernels(self, tmp_path):
+        # the per-pair scalar kernel read 1.6001124530407936e-13 here
+        cfg_path = write_config(tmp_path, elements_config(n=1))
+        out = tmp_path / "o"
+        assert main(["validate", cfg_path, "--samples", "200", "--seed", "7",
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "validate.json").read_text())
+        assert report["max_rel_err"] <= 1.6001124530407936e-13 + 1e-12
 
     def test_seed_changes_draws(self, tmp_path):
         cfg_path = write_config(tmp_path, elements_config(n=1))

@@ -14,8 +14,22 @@ from wirecoupling import (
     wavelength,
     wavenumber,
 )
+from wirecoupling import geometry
 
 FREQ = 3.0e8  # [Hz], lambda very close to 1 m
+
+
+def first_overlap_loop(wires):
+    # pairwise reference for the blocked check in _first_overlap
+    for i, p in enumerate(wires):
+        for j in range(i + 1, len(wires)):
+            q = wires[j]
+            d = math.hypot(q.center[0] - p.center[0], q.center[1] - p.center[1])
+            if (d <= p.radius + q.radius
+                    and abs(q.center[2] - p.center[2])
+                    <= p.half_length + q.half_length):
+                return i, j
+    return None
 
 
 def make_dipole(x=0.0, y=0.0, z=0.0, h=0.25, a=0.001) -> Dipole:
@@ -216,3 +230,18 @@ class TestScene:
         hi = make_dipole(z=0.6)
         scene = Scene(make_dipole(x=-3.0), make_dipole(x=3.0), (lo, hi), FREQ)
         assert scene.n_elements == 2
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_first_overlap_matches_pairwise_loop(seed, monkeypatch):
+    # crowded random wires, most seeds with several collisions, checked in
+    # blocks of 7 rows so that the first one can sit in any block
+    monkeypatch.setattr(geometry, "_OVERLAP_ROWS", 7)
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    spread = rng.uniform(0.005, 0.1)
+    wires = [make_dipole(*rng.uniform(-spread, spread, 2), rng.uniform(-1, 1),
+                         h=rng.uniform(0.05, 0.3), a=rng.uniform(0.001, 0.004))
+             for _ in range(n)]
+    assert geometry._first_overlap(wires) == first_overlap_loop(wires)
+    assert geometry._first_overlap(wires[:1]) is None

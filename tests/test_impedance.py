@@ -1,10 +1,14 @@
 """Closed-form coupling impedances against quadrature oracles."""
 
+import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wirecoupling import (
     DegenerateGeometry,
@@ -27,6 +31,10 @@ from wirecoupling import (
 )
 from wirecoupling import impedance
 from wirecoupling.geometry import PairGeometry
+
+# Per-pair scalar closed-form values of three scenes, taken before the
+# kernel became array-native; the file names the commit.
+SCALAR_REFERENCE = Path(__file__).parent / "data" / "scalar_reference.json"
 
 FREQ = 3.0e8  # [Hz]
 LAM = wavelength(FREQ)
@@ -450,3 +458,125 @@ class TestImpedanceSet:
         z_ss = np.array([[np.inf + 0j]])
         with pytest.raises(DomainError, match="non-finite"):
             ImpedanceSet(z_rt=1.0, z_rs=np.zeros(1), z_st=np.zeros(1), z_ss=z_ss)
+
+
+def _reference_scene(data):
+    def wire(w):
+        return Dipole(tuple(w["center"]), w["half_length"], w["radius"])
+
+    surface = tuple(wire(w) for w in data["surface"])
+    scene = Scene(wire(data["transmitter"]), wire(data["receiver"]), surface,
+                  data["frequency_hz"])
+    return scene, surface
+
+
+def _reference_pairs(data, scene, surface):
+    """(source, observer, same, reference value) of every coupling."""
+    tx, rx = scene.transmitter, scene.receiver
+    pairs = [(tx, rx, False, data["z_rt"])]
+    pairs += [(tx, e, False, v) for e, v in zip(surface, data["z_st"])]
+    pairs += [(e, rx, False, v) for e, v in zip(surface, data["z_rs"])]
+    n = len(surface)
+    pairs += [(surface[p], surface[q], p == q, data["z_ss"][q][p])
+              for q in range(n) for p in range(q, n)]
+    return [(a, b, same, complex(*v)) for a, b, same, v in pairs]
+
+
+@st.composite
+def jittered_scenes(draw):
+    # xy grids, or xz grids whose same-column pairs are collinear or
+    # nearly so; offsets never close the gaps the grid leaves
+    plane = draw(st.sampled_from(["xy", "xz"]))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    spacing = LAM / 8 if plane == "xy" else LAM / 2
+    jitter = draw(st.sampled_from([0.0, 1e-12, LAM / 64]))
+    grid = build_grid(rows, cols, spacing=spacing, half_length=0.23 * LAM,
+                      radius=0.002 * LAM, plane=plane)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offsets = rng.uniform(-jitter, jitter, size=(len(grid), 3))
+    if plane == "xz":
+        offsets[:, 2] *= 0.5
+    surface = tuple(Dipole(tuple(np.add(d.center, o)), d.half_length, d.radius)
+                    for d, o in zip(grid, offsets))
+    return Scene(half_wave(y=-3.0), half_wave(y=3.0, z=0.1), surface, FREQ)
+
+
+class TestArrayKernel:
+    @pytest.mark.parametrize("name", ["jittered_4x4", "xz_3x3",
+                                      "interleaved_1e-12m"])
+    def test_matches_scalar_reference(self, name):
+        data = json.loads(SCALAR_REFERENCE.read_text())["scenes"][name]
+        scene, surface = _reference_scene(data)
+        imps = assemble_impedances(scene)
+        got = [imps.z_rt, *imps.z_st, *imps.z_rs]
+        got += [imps.z_ss[q, p] for q in range(len(surface))
+                for p in range(q, len(surface))]
+        k = scene.wavenumber
+        for value, (a, b, same, ref) in zip(
+                got, _reference_pairs(data, scene, surface), strict=True):
+            assert abs(value - ref) <= 1e-13 * abs(ref)
+            # the oracle does not converge on the interleaved pair, which
+            # test_interleaved_near_collinear_pair_matches_mpmath covers
+            if a.radius > 1e-12:
+                oracle = mutual_impedance_oracle(a, b, k, same, rel_tol=1e-12)
+                assert abs(oracle - ref) <= 1e-11 * abs(ref)
+
+    @settings(max_examples=25, deadline=None)
+    @given(jittered_scenes())
+    def test_batched_and_one_pair_values_are_bit_identical(self, scene):
+        imps = assemble_impedances(scene)
+        k, tx, rx = scene.wavenumber, scene.transmitter, scene.receiver
+        assert imps.z_rt == mutual_impedance(tx, rx, k)
+        for i, e in enumerate(scene.surface):
+            assert imps.z_st[i] == mutual_impedance(tx, e, k)
+            assert imps.z_rs[i] == mutual_impedance(e, rx, k)
+            for j, f in enumerate(scene.surface[i:], start=i):
+                assert imps.z_ss[i, j] == mutual_impedance(f, e, k, i == j)
+                assert imps.z_ss[j, i] == imps.z_ss[i, j]
+
+    def test_chunked_assembly_matches_one_chunk(self, monkeypatch):
+        surface = build_grid(3, 3, spacing=LAM / 8, half_length=0.23 * LAM,
+                             radius=0.002 * LAM)
+        scene = Scene(half_wave(y=-3.0), half_wave(y=3.0), surface, FREQ)
+        whole = assemble_impedances(scene)
+        monkeypatch.setattr(impedance, "PAIR_CHUNK", 4)
+        chunked = assemble_impedances(scene)
+        assert np.array_equal(chunked.z_ss, whole.z_ss)
+        assert np.array_equal(chunked.z_st, whole.z_st)
+        assert np.array_equal(chunked.z_rs, whole.z_rs)
+
+    def test_segment_array_call_matches_scalar_calls(self):
+        # E1 form, on-axis limit and empty interval in one call
+        args = [(1, 0.3 * LAM, 0.1 * LAM, -0.25 * LAM, 0.0),
+                (-1, 0.0, -0.3 * LAM, 0.0, 0.25 * LAM),
+                (1, 1e-12 * LAM, 0.6 * LAM, -0.25 * LAM, 0.0),
+                (-1, 0.05 * LAM, 0.2 * LAM, 0.1 * LAM, 0.1 * LAM),
+                (-1, 2.0 * LAM, -1.0 * LAM, -0.2 * LAM, 0.3 * LAM)]
+        columns = [np.array(c) for c in zip(*args)]
+        values = segment_kernel_integral(*columns, K)
+        assert values.shape == (len(args),)
+        for value, row in zip(values, args):
+            scalar = segment_kernel_integral(*row, K)
+            assert isinstance(scalar, complex)
+            assert value == scalar
+
+    @pytest.mark.parametrize("bad, error", [
+        ((2, 0.5, 0.0, -0.1, 0.1), DomainError),
+        ((1, math.nan, 0.0, -0.1, 0.1), DomainError),
+        ((1, 0.5, 0.0, 0.2, -0.2), DomainError),
+        ((1, 0.0, 0.0, -0.1, 0.1), DegenerateGeometry),
+    ])
+    def test_one_bad_segment_fails_the_array_call(self, bad, error):
+        good = (1, 0.5, 0.0, -0.1, 0.1)
+        columns = [np.array([g, b, g]) for g, b in zip(good, bad)]
+        with pytest.raises(error):
+            segment_kernel_integral(*columns, K)
+
+    def test_wire_kernel_broadcasts_over_source_points(self):
+        geom = PairGeometry(rho=0.4 * LAM, dz=0.1 * LAM, h_p=0.23 * LAM,
+                            h_q=0.2 * LAM)
+        xi = np.array([geom.h_p, -geom.h_p, 0.0])
+        values = wire_kernel_integral(xi[:, None], np.array([1, -1]), geom, K)
+        for i, x in enumerate(xi):
+            for j, s0 in enumerate((1, -1)):
+                assert values[i, j] == wire_kernel_integral(x, s0, geom, K)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from wirecoupling import ConvergenceError, DomainError, adaptive_quad, exp_integral_e1
+from wirecoupling.special import SICI_CROSSOVER
 
 
 def sine_integral(x: float) -> complex:
@@ -70,13 +71,20 @@ class TestExpIntegral:
             assert abs(value - expected) <= 1e-9 * abs(expected)
 
     def test_imaginary_axis_matches_mpmath(self):
-        # The closed-form couplings only evaluate E1 at j*k*L with L > 0.
+        # The closed-form couplings only evaluate E1 at j*k*L with L > 0,
+        # as one array: sici below the crossover, exp1 from it on.
         rng = np.random.default_rng(31)
-        for x in 10.0 ** rng.uniform(-8, 4, 1000):
+        edge = SICI_CROSSOVER * (1.0 + np.array([-1e-3, -1e-15, 0.0, 1e-15,
+                                                 1e-3]))
+        xs = np.concatenate([10.0 ** rng.uniform(-8, 4, 1000), edge,
+                             rng.uniform(0.9, 1.1, 40) * SICI_CROSSOVER])
+        values = exp_integral_e1(1j * xs)
+        assert values.shape == xs.shape
+        for x, value in zip(xs, values):
             with mpmath.workdps(40):
                 expected = complex(mpmath.e1(mpmath.mpc(0.0, x)))
-            value = exp_integral_e1(1j * x)
             assert abs(value - expected) <= 1e-13 * abs(expected), x
+            assert exp_integral_e1(1j * x) == value
 
     def test_off_axis_matches_mpmath(self):
         # Random magnitudes and angles, a third of them 1e-8 to 1e-1 rad
@@ -125,6 +133,12 @@ class TestExpIntegral:
         # cannot carry the result.
         with pytest.raises(DomainError):
             exp_integral_e1(complex(-700.0, 5.0))
+
+    @pytest.mark.parametrize("bad", [0.0, complex(math.nan, 1.0), -1.0 + 0.0j,
+                                     complex(-700.0, 5.0)])
+    def test_one_bad_argument_fails_the_array_call(self, bad):
+        with pytest.raises(DomainError):
+            exp_integral_e1(np.array([1j, bad, 2.0 + 1j]))
 
     def test_real_axis_decay(self):
         # E1 is positive and strictly decreasing on the positive real axis.
