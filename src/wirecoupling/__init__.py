@@ -22,7 +22,6 @@ from .config import (
     load_scene_config,
     parse_scene_config,
     resolve_sweep_scene,
-    scene_config_to_dict,
     tuning_for_scene,
 )
 from .errors import (
@@ -38,7 +37,6 @@ from .errors import (
 from .geometry import (
     SPEED_OF_LIGHT,
     Dipole,
-    PairGeometry,
     Scene,
     build_grid,
     pair_geometry,
@@ -49,11 +47,9 @@ from .impedance import (
     FREE_SPACE_IMPEDANCE,
     ImpedanceSet,
     assemble_impedances,
-    axial_field_kernel,
     mutual_impedance,
     mutual_impedance_oracle,
     segment_kernel_integral,
-    wire_kernel_integral,
 )
 from .special import adaptive_quad, exp_integral_e1
 
@@ -73,7 +69,6 @@ __all__ = [
     "ImpedanceSet",
     "OptimizeResult",
     "OptimizeSpec",
-    "PairGeometry",
     "ResonantLength",
     "Scene",
     "SceneConfig",
@@ -82,7 +77,6 @@ __all__ = [
     "WireCouplingError",
     "adaptive_quad",
     "assemble_impedances",
-    "axial_field_kernel",
     "build_grid",
     "end_to_end",
     "exp_integral_e1",
@@ -93,10 +87,8 @@ __all__ = [
     "pair_geometry",
     "parse_scene_config",
     "resolve_sweep_scene",
-    "scene_config_to_dict",
     "segment_kernel_integral",
     "tuning_for_scene",
     "wavelength",
     "wavenumber",
-    "wire_kernel_integral",
 ]

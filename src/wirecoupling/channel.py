@@ -98,9 +98,14 @@ class ChannelResult:
 def _solve(imps: ImpedanceSet, entries: np.ndarray, cond_cap: float):
     """Checked solve of (Z_ss + diag(entries)) x = z_st.
 
-    Returns ((lu, piv), x, h, cond). Raises SingularSystem as described
-    in end_to_end.
+    Returns ((lu, piv), x, h, cond). Raises DomainError for entries that
+    do not fit the surface, SingularSystem as described in end_to_end.
     """
+    if entries.shape[0] != imps.n_elements:
+        raise DomainError(
+            f"tuning has {entries.shape[0]} entries, surface has "
+            f"{imps.n_elements} elements"
+        )
     system = imps.z_ss + np.diag(entries)
     with warnings.catch_warnings():
         # An exactly singular matrix makes the factorization warn; the
@@ -139,6 +144,17 @@ def _solve(imps: ImpedanceSet, entries: np.ndarray, cond_cap: float):
     return (lu, piv), x, complex(imps.z_rt - np.dot(imps.z_rs, x)), cond
 
 
+def _channel(imps: ImpedanceSet, solved) -> ChannelResult:
+    """ChannelResult of a _solve result; DomainError for an undefined gain."""
+    _, _, h, cond = solved
+    if imps.z_rt == 0:
+        raise DomainError("gain is undefined for a vanishing direct link")
+    if h == 0:
+        raise DomainError("transfer impedance vanished; gain is undefined")
+    gain_db = 20.0 * math.log10(abs(h / imps.z_rt))
+    return ChannelResult(h_e2e=h, gain_db=gain_db, condition_estimate=cond)
+
+
 def end_to_end(
     imps: ImpedanceSet,
     tuning: TuningState,
@@ -152,20 +168,10 @@ def end_to_end(
 
     Raises SingularSystem when the factorization fails, the 1-norm
     condition estimate exceeds cond_cap, or the residual will not shrink
-    below 1e-10 of the right-hand side.
+    below 1e-10 of the right-hand side; DomainError when the tuning does
+    not match the surface or the gain is undefined.
     """
-    if tuning.n_elements != imps.n_elements:
-        raise DomainError(
-            f"tuning has {tuning.n_elements} entries, surface has "
-            f"{imps.n_elements} elements"
-        )
-    _, _, h, cond = _solve(imps, tuning.entries, cond_cap)
-    if imps.z_rt == 0:
-        raise DomainError("gain is undefined for a vanishing direct link")
-    if h == 0:
-        raise DomainError("transfer impedance vanished; gain is undefined")
-    gain_db = 20.0 * math.log10(abs(h / imps.z_rt))
-    return ChannelResult(h_e2e=h, gain_db=gain_db, condition_estimate=cond)
+    return _channel(imps, _solve(imps, tuning.entries, cond_cap))
 
 
 @dataclass(frozen=True)
@@ -246,18 +252,18 @@ def optimize_tuning(
     if not isinstance(budget, int) or budget < 1:
         raise DomainError("optimizer budget must be an integer >= 1")
 
-    # end_to_end checks the length and the gain's DomainErrors once;
-    # the steps then work from _solve's factorization.
+    # One checked solve of the start: its factorization serves the first
+    # step, and _channel raises the gain's DomainErrors up front.
+    entries = init.entries.copy()
     try:
-        end_to_end(imps, init, cond_cap=cond_cap)
+        solved = _solve(imps, entries, cond_cap)
     except SingularSystem as exc:
         raise SingularSystem(
             f"every probed tuning state failed to solve: the initial "
             f"state is unsolvable ({exc})"
         )
+    _channel(imps, solved)
     lo, hi = init.reactance_bounds
-    entries = init.entries.copy()
-    solved = _solve(imps, entries, cond_cap)
     trace = [abs(solved[2])]
 
     for _ in range(budget):

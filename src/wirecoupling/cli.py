@@ -183,15 +183,15 @@ def _cmd_sweep(cfg: SceneConfig, args) -> int:
 
 
 def _validate_draws(scene, rng, samples: int):
-    """Random non-degenerate wire pairs at the configured frequency."""
+    """(index, wires) of random non-degenerate pairs at the configured
+    frequency; a lone wire is a self term."""
     lam = scene.wavelength
     for index in range(samples):
-        same = index % 10 == 9  # every tenth draw probes a self term
         h_p = rng.uniform(0.1, 0.45) * lam
         a_p = rng.uniform(1.0 / 5000.0, 1.0 / 200.0) * lam
         source = Dipole((0.0, 0.0, 0.0), h_p, a_p)
-        if same:
-            yield index, source, source, True
+        if index % 10 == 9:  # every tenth draw probes a self term
+            yield index, (source,)
             continue
         h_q = rng.uniform(0.1, 0.45) * lam
         a_q = rng.uniform(1.0 / 5000.0, 1.0 / 200.0) * lam
@@ -201,7 +201,7 @@ def _validate_draws(scene, rng, samples: int):
         observer = Dipole(
             (d * math.cos(azimuth), d * math.sin(azimuth), dz), h_q, a_q
         )
-        yield index, source, observer, False
+        yield index, (source, observer)
 
 
 def _cmd_validate(cfg: SceneConfig, args) -> int:
@@ -213,22 +213,22 @@ def _cmd_validate(cfg: SceneConfig, args) -> int:
 
     comparisons = []
     errors = []
-    for index, source, observer, same in _validate_draws(
-        cfg.scene, rng, args.samples
-    ):
+    for index, wires in _validate_draws(cfg.scene, rng, args.samples):
+        source, observer, same = wires[0], wires[-1], len(wires) == 1
         closed = mutual_impedance(source, observer, k, same)
         oracle = mutual_impedance_oracle(source, observer, k, same,
                                          rel_tol=args.oracle_tol)
         rel = abs(closed - oracle) / abs(oracle)
         errors.append(rel)
-        geom = pair_geometry(source, observer, same)
+        rho, dz, h_p, h_q = (float(v[0]) for v in
+                             pair_geometry(wires, [0], [len(wires) - 1]))
         comparisons.append({
             "index": index,
             "same": same,
-            "h_p_m": geom.h_p,
-            "h_q_m": geom.h_q,
-            "rho_m": geom.rho,
-            "dz_m": geom.dz,
+            "h_p_m": h_p,
+            "h_q_m": h_q,
+            "rho_m": rho,
+            "dz_m": dz,
             "closed_re_ohm": closed.real,
             "closed_im_ohm": closed.imag,
             "oracle_re_ohm": oracle.real,

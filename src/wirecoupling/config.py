@@ -1,4 +1,4 @@
-"""Scene configuration files: parsing, validation, serialization.
+"""Scene configuration files: parsing and validation.
 
 Configs are JSON. Lengths are meters unless the file sets
 "lambda_units": true, in which case every geometric length (centers,
@@ -294,54 +294,6 @@ def load_scene_config(path) -> SceneConfig:
             f"{exc.msg}"
         )
     return parse_scene_config(data, source=str(path))
-
-
-def _dipole_to_dict(d: Dipole) -> dict:
-    return {
-        "center": list(d.center),
-        "half_length": d.half_length,
-        "radius": d.radius,
-    }
-
-
-def scene_config_to_dict(cfg: SceneConfig) -> dict:
-    """Serialize back to the JSON layout, always in meters.
-
-    Round-trip contract: parsing the returned document yields a Scene
-    equal to cfg.scene.
-    """
-    data: dict = {
-        "frequency_hz": cfg.scene.frequency_hz,
-        "lambda_units": False,
-        "transmitter": _dipole_to_dict(cfg.scene.transmitter),
-        "receiver": _dipole_to_dict(cfg.scene.receiver),
-    }
-    if cfg.grid is not None:
-        data["surface"] = {"grid": {
-            "rows": cfg.grid.rows,
-            "cols": cfg.grid.cols,
-            "spacing": cfg.grid.spacing,
-            "half_length": cfg.grid.half_length,
-            "radius": cfg.grid.radius,
-            "center": list(cfg.grid.center),
-            "plane": cfg.grid.plane,
-        }}
-    else:
-        data["surface"] = {
-            "elements": [_dipole_to_dict(d) for d in cfg.scene.surface]
-        }
-    if cfg.tuning is not None:
-        data["tuning"] = {"entries": [
-            {"re": z.real, "im": z.imag} for z in cfg.tuning.entries
-        ]}
-    elif cfg.optimize is not None:
-        data["tuning"] = {"optimize": {
-            "reactance_bounds": list(cfg.optimize.reactance_bounds),
-            "budget": cfg.optimize.budget,
-        }}
-    if cfg.output_dir is not None:
-        data["output"] = {"directory": cfg.output_dir}
-    return data
 
 
 SWEEP_PARAMETERS = ("spacing", "frequency", "n_elements")

@@ -2,8 +2,8 @@
 
 All wires are straight, center-fed, and aligned with the z axis. A Scene
 bundles a transmitter, a receiver, and the surface array together with
-the operating frequency; pair_geometry reduces any two wires to the four
-numbers the coupling formulas need.
+the operating frequency; pair_geometry reduces arrays of wire pairs to the
+four numbers the coupling formulas need.
 """
 
 from __future__ import annotations
@@ -72,59 +72,33 @@ class Dipole:
                 f"{THIN_WIRE_RATIO * self.half_length:.6g} m)"
             )
 
-    @property
-    def z_extent(self) -> tuple[float, float]:
-        """Lowest and highest z reached by the wire [m]."""
-        return (self.center[2] - self.half_length,
-                self.center[2] + self.half_length)
+
+def _wire_arrays(wires):
+    """Centers (N, 3), half-lengths (N,) and radii (N,) of the wires."""
+    centers = np.array([w.center for w in wires], dtype=float)
+    half = np.array([w.half_length for w in wires])
+    radius = np.array([w.radius for w in wires])
+    return centers, half, radius
 
 
-@dataclass(frozen=True)
-class PairGeometry:
-    """Relative geometry of a source wire p and an observer wire q.
+def pair_geometry(wires, src, obs):
+    """Reduce the pairs (wires[src[i]] -> wires[obs[i]]) to the arrays
+    (rho, dz, h_p, h_q) the coupling kernels use.
 
-    rho: transverse separation of the two wire axes [m]; for the self
-         term this is the wire radius (observation on the wire surface).
-    dz:  observer center minus source center along z [m].
-    h_p, h_q: half-lengths of source and observer [m].
+    rho: transverse separation of the two wire axes [m]
+    dz:  observer center minus source center along z [m]
+    h_p, h_q: half-lengths of source and observer [m]
+
+    A wire paired with itself (src[i] == obs[i]) is observed on its own
+    surface: rho is its radius and dz is zero.
     """
-
-    rho: float
-    dz: float
-    h_p: float
-    h_q: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.rho) and self.rho >= 0):
-            raise GeometryError("pair rho must be non-negative")
-        if not math.isfinite(self.dz):
-            raise GeometryError("pair dz must be finite")
-        if not (self.h_p > 0 and self.h_q > 0):
-            raise GeometryError("pair half-lengths must be positive")
-
-
-def pair_geometry(source: Dipole, observer: Dipole, same: bool = False) -> PairGeometry:
-    """Reduce two wires to the quantities the coupling kernels use.
-
-    With same=True the pair is a single wire observed on its own surface:
-    rho becomes the wire radius and dz is zero; the caller is expected to
-    pass the same dipole in both slots.
-    """
-    if same:
-        return PairGeometry(
-            rho=observer.radius,
-            dz=0.0,
-            h_p=source.half_length,
-            h_q=observer.half_length,
-        )
-    dx = observer.center[0] - source.center[0]
-    dy = observer.center[1] - source.center[1]
-    return PairGeometry(
-        rho=math.hypot(dx, dy),
-        dz=observer.center[2] - source.center[2],
-        h_p=source.half_length,
-        h_q=observer.half_length,
-    )
+    centers, half, radius = _wire_arrays(wires)
+    src, obs = np.asarray(src), np.asarray(obs)
+    same = src == obs
+    d = centers[obs] - centers[src]
+    rho = np.where(same, radius[obs], np.hypot(d[:, 0], d[:, 1]))
+    dz = np.where(same, 0.0, d[:, 2])
+    return rho, dz, half[src], half[obs]
 
 
 def _first_overlap(wires) -> tuple[int, int] | None:
@@ -133,11 +107,9 @@ def _first_overlap(wires) -> tuple[int, int] | None:
     Two parallel wires collide when their axes come closer than the sum of
     the radii while their z spans intersect. "First" is the smallest i,
     then the smallest j. Rows are checked against all wires in blocks of
-    _OVERLAP_ROWS, so the distance tables stay bounded at any N.
+    _OVERLAP_ROWS, so each distance table holds _OVERLAP_ROWS x N entries.
     """
-    centers = np.array([w.center for w in wires], dtype=float)
-    half = np.array([w.half_length for w in wires])
-    radius = np.array([w.radius for w in wires])
+    centers, half, radius = _wire_arrays(wires)
     n = len(wires)
     for start in range(0, n, _OVERLAP_ROWS):
         i = np.arange(start, min(start + _OVERLAP_ROWS, n))[:, None]
@@ -218,6 +190,19 @@ def build_grid(
     if plane not in ("xy", "xz"):
         raise GeometryError(f"grid plane must be 'xy' or 'xz', got {plane!r}")
 
+    # Lattice neighbours sit one spacing apart, side by side (0 and 1) and
+    # on an xz grid stacked along z (0 and cols); Scene checks every pair.
+    pair = None
+    if rows * cols > 1 and spacing <= 2.0 * radius:
+        pair = (0, 1)
+    elif plane == "xz" and rows > 1 and spacing <= 2.0 * half_length:
+        pair = (0, cols)
+    if pair is not None:
+        raise GeometryError(
+            f"grid elements {pair[0]} and {pair[1]} overlap at spacing "
+            f"{spacing:.6g} m; increase the spacing or shorten the wires"
+        )
+
     x0, y0, z0 = (float(v) for v in center)
     elements = []
     for r in range(rows):
@@ -229,11 +214,4 @@ def build_grid(
             else:
                 pos = (x0 + col_offset, y0, z0 + row_offset)
             elements.append(Dipole(pos, half_length, radius))
-
-    pair = _first_overlap(elements)
-    if pair is not None:
-        raise GeometryError(
-            f"grid elements {pair[0]} and {pair[1]} overlap at spacing "
-            f"{spacing:.6g} m; increase the spacing or shorten the wires"
-        )
     return tuple(elements)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometry, DomainError, ResonantLength
-from .geometry import Dipole, PairGeometry, Scene, pair_geometry
+from .geometry import Dipole, Scene, pair_geometry
 from .special import adaptive_quad, exp_integral_e1
 
 FREE_SPACE_IMPEDANCE = 376.730313668  # [ohm]
@@ -127,25 +127,16 @@ def segment_kernel_integral(s0, d0, z0, z_lo, z_hi, k: float):
     return complex(value[0]) if scalar else value
 
 
-def wire_kernel_integral(xi_p, s0, geom: PairGeometry, k: float):
-    """Spherical-wave kernel integrated over the observer wire.
-
-    Evaluates the integral of exp(-j*k*(R + s0*|z|))/R for z across the
-    observer extent [-h_q, +h_q], with R measured from the source-wire
-    point xi_p (one of -h_p, 0, +h_p in the impedance assembly). The |z|
-    in the phase splits the run into two segment integrals joined at
-    z = 0, each handled in closed form. xi_p and s0 broadcast as in
-    segment_kernel_integral.
-    """
-    z0 = xi_p - geom.dz
-    lower_half = segment_kernel_integral(-s0, geom.rho, z0, -geom.h_q, 0.0, k)
-    upper_half = segment_kernel_integral(s0, geom.rho, z0, 0.0, geom.h_q, k)
-    return lower_half + upper_half
-
-
 def _field_terms(z, rho: float, dz: float, h_p: float, k: float):
-    # Three spherical waves launched from the wire ends and the feed;
-    # vectorized over z. Valid for scalar or ndarray z.
+    """G(R at +h_p) + G(R at -h_p) - 2*cos(k*h_p) * G(R at feed), with
+    G(R) = exp(-j*k*R)/R: three spherical waves launched from the source
+    wire's ends and feed, observed at transverse distance rho and height
+    z above the observer center (the centers sit dz apart along z).
+    Times k/sin(k*h_p) this is the reduced z-component of the field of
+    the sinusoidal source current. Vectorized over scalar or ndarray z.
+
+    Raises DomainError if the point lands exactly on a source singularity.
+    """
     cos_kh = math.cos(k * h_p)
     acc = None
     for xi, coef in ((h_p, 1.0), (-h_p, 1.0), (0.0, -2.0 * cos_kh)):
@@ -160,32 +151,9 @@ def _field_terms(z, rho: float, dz: float, h_p: float, k: float):
     return acc
 
 
-def axial_field_kernel(z: float, geom: PairGeometry, k: float) -> complex:
-    """Reduced z-component of the field radiated by the source wire.
-
-    Observation point: transverse distance geom.rho from the source axis,
-    height z relative to the observer-wire center (the wire centers sit
-    geom.dz apart along z). The sinusoidal source current collapses to
-
-        k/sin(k*h_p) * [G(R at +h_p) + G(R at -h_p)
-                        - 2*cos(k*h_p) * G(R at feed)]
-
-    with G(R) = exp(-j*k*R)/R: three spherical waves, one from each wire
-    end and one from the feed. The physical field carries an additional
-    constant absorbed into the coupling integral; mutual_impedance_oracle
-    multiplies by j*eta/(4*pi*k) after integrating this kernel against
-    the observer current.
-
-    Raises ResonantLength near sin(k*h_p) = 0 and DomainError if the
-    observation point lands exactly on a source singularity.
-    """
-    s = _sin_or_raise(geom.h_p, k, "source")
-    return complex(k / s * _field_terms(float(z), geom.rho, geom.dz, geom.h_p, k))
-
-
 def _closed_form(rho, dz, h_p, h_q, k: float) -> np.ndarray:
-    """Coupling impedances of the pairs given as equal-length 1-D arrays
-    of PairGeometry fields, in one segment_kernel_integral call."""
+    """Coupling impedances of the pairs given as the equal-length 1-D
+    arrays of pair_geometry, in one segment_kernel_integral call."""
     sin_p = _sin_or_raise(h_p, k, "source")
     sin_q = _sin_or_raise(h_q, k, "observer")
     cos_p = np.cos(k * h_p)
@@ -198,31 +166,18 @@ def _closed_form(rho, dz, h_p, h_q, k: float) -> np.ndarray:
     z0 = np.stack([h_p, -h_p, zero])[:, None, :] - dz
     seg = segment_kernel_integral(sign, rho, z0, np.stack([-h_q, zero]),
                                   np.stack([zero, h_q]), k)
-    wire = seg[:, :, 0] + seg[:, :, 1]  # wire_kernel_integral(xi_p, s0)
+    # The observer wire's integral from source point xi_p: both halves.
+    wire = seg[:, :, 0] + seg[:, :, 1]
     inner = wire[:, 0] + wire[:, 1] - 2.0 * cos_p * wire[:, 2]
     total = (np.exp(1j * k * h_q) * inner[0]
              - np.exp(-1j * k * h_q) * inner[1])
     return FREE_SPACE_IMPEDANCE * total / (8.0 * math.pi * sin_p * sin_q)
 
 
-def _couplings(wires, src, obs, k: float) -> np.ndarray:
-    """Impedances of the pairs (wires[src[i]] -> wires[obs[i]]); a wire
-    paired with itself is observed on its own surface, as in
-    pair_geometry with same=True."""
-    centers = np.array([w.center for w in wires], dtype=float)
-    half = np.array([w.half_length for w in wires])
-    radius = np.array([w.radius for w in wires])
-    src, obs = np.asarray(src), np.asarray(obs)
-    same = src == obs
-    d = centers[obs] - centers[src]
-    rho = np.where(same, radius[obs], np.hypot(d[:, 0], d[:, 1]))
-    dz = np.where(same, 0.0, d[:, 2])
-    values = np.empty(src.shape, dtype=complex)
-    for start in range(0, src.size, PAIR_CHUNK):
-        part = slice(start, start + PAIR_CHUNK)
-        values[part] = _closed_form(rho[part], dz[part], half[src[part]],
-                                    half[obs[part]], k)
-    return values
+def _one_pair(source: Dipole, observer: Dipole, same: bool):
+    """pair_geometry of one pair; same observes source on its own surface."""
+    wires = (source,) if same else (source, observer)
+    return pair_geometry(wires, [0], [len(wires) - 1])
 
 
 def mutual_impedance(
@@ -237,7 +192,10 @@ def mutual_impedance(
     feed current. The self term (same=True, with the same wire in both
     slots) observes the wire on its own surface, one radius off the axis.
 
-    The result combines six wire_kernel_integral evaluations:
+    The result combines six observer-wire integrals I(xi_p) of
+    exp(-j*k*(R + s0*|z|))/R over z in [-h_q, +h_q], R measured from the
+    source point xi_p, each the sum of two segment_kernel_integral
+    halves joined at z = 0:
 
         z = eta / (8*pi*sin(k*h_p)*sin(k*h_q))
             * sum over s0 in {+1, -1} of
@@ -254,8 +212,7 @@ def mutual_impedance(
     current normalization, and DegenerateGeometry for collinear wires
     whose spans touch or overlap, which Scene already rejects.
     """
-    wires = (source,) if same else (source, observer)
-    return complex(_couplings(wires, [0], [len(wires) - 1], k)[0])
+    return complex(_closed_form(*_one_pair(source, observer, same), k)[0])
 
 
 def mutual_impedance_oracle(
@@ -270,7 +227,9 @@ def mutual_impedance_oracle(
     Integrates the source field against the observer current shape over
     the observer extent with adaptive quadrature:
 
-        z = j*eta/(4*pi*k) * integral of kernel(z) * f_q(z) dz
+        z = j*eta/(4*pi*k) * integral of E(z) * f_q(z) dz
+
+    with the field E(z) = k/sin(k*h_p) * _field_terms(z, ...).
 
     Independent of the closed-form reduction, so it serves as its
     correctness oracle; no production path calls it. Also covers
@@ -279,16 +238,16 @@ def mutual_impedance_oracle(
     Raises ResonantLength for guarded lengths and ConvergenceError if the
     quadrature budget runs out.
     """
-    geom = pair_geometry(source, observer, same)
-    sin_p = _sin_or_raise(geom.h_p, k, "source")
-    sin_q = _sin_or_raise(geom.h_q, k, "observer")
+    rho, dz, h_p, h_q = (float(v[0]) for v in _one_pair(source, observer, same))
+    sin_p = _sin_or_raise(h_p, k, "source")
+    sin_q = _sin_or_raise(h_q, k, "observer")
 
     def integrand(z):
-        current = np.sin(k * (geom.h_q - np.abs(z))) / sin_q
-        field = k / sin_p * _field_terms(z, geom.rho, geom.dz, geom.h_p, k)
+        current = np.sin(k * (h_q - np.abs(z))) / sin_q
+        field = k / sin_p * _field_terms(z, rho, dz, h_p, k)
         return field * current
 
-    coupling = adaptive_quad(integrand, -geom.h_q, geom.h_q, rel_tol)
+    coupling = adaptive_quad(integrand, -h_q, h_q, rel_tol)
     return 1j * FREE_SPACE_IMPEDANCE / (4.0 * math.pi * k) * coupling
 
 
@@ -359,7 +318,11 @@ def assemble_impedances(scene: Scene) -> ImpedanceSet:
     q, p = np.triu_indices(n)  # z_ss[q, p] couples source p to observer q
     src = np.concatenate([np.zeros(n, int), element, p + 2])
     obs = np.concatenate([element, np.ones(n, int), q + 2])
-    values = _couplings(wires, src, obs, k)
+    geometry = pair_geometry(wires, src, obs)
+    values = np.empty(src.size, dtype=complex)
+    for start in range(0, src.size, PAIR_CHUNK):
+        part = slice(start, start + PAIR_CHUNK)
+        values[part] = _closed_form(*(g[part] for g in geometry), k)
 
     z_ss = np.empty((n, n), dtype=complex)
     z_ss[q, p] = values[2 * n:]

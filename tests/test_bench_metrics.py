@@ -4,9 +4,11 @@ Runs the tiny workloads of bench/test_bench.py through bench/run.py, one
 fresh child process per request as in a benchmark run, untraced and
 traced. Every output must pass the benchmark's oracle check and every
 reported metric must be a finite number: a metric that divides by a
-counter the package no longer feeds reads null instead.
+counter the package no longer feeds reads null instead. The result must
+also be the last line run.py prints, where a benchmark driver reads it.
 """
 
+import json
 import math
 import sys
 from pathlib import Path
@@ -48,3 +50,22 @@ def test_every_metric_is_a_number(name, trace, tmp_path, monkeypatch):
         assert report["missing_targets"] == []
         for key in CALLED + CALLED_BY[name]:
             assert metrics[key] > 0, key
+
+
+@pytest.mark.parametrize("trace", [0, 1], ids=["untraced", "traced"])
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_last_printed_line_is_the_result(name, trace, tmp_path, monkeypatch,
+                                         capsys):
+    monkeypatch.setattr(run, "WORK", tmp_path / "work")
+    monkeypatch.setattr(run.workloads, "make", lambda *_: TINY[name]())
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main prepends src/
+    assert run.main(["--workload", name, "--seconds", "0",
+                     "--trace", str(trace)]) == 0
+    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    units = run.PER_LAYER_UNITS if trace else run.END_TO_END_UNITS
+    assert set(result["metrics"]) == set(units)
+    for key, metric in result["metrics"].items():
+        value = metric["value"]
+        assert isinstance(value, (int, float)) and not isinstance(value, bool), key
+        assert math.isfinite(value), key

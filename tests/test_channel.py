@@ -319,7 +319,7 @@ class TestOptimizer:
 
     def test_one_factorization_per_proposed_move(self, monkeypatch):
         # Each step reuses the factorization of the accepted state, so a
-        # run factors once per proposal plus a fixed few at start and end.
+        # run factors once per proposal, plus the start and the final state.
         calls = []
         factor = wirecoupling.channel.lu_factor
 
@@ -330,7 +330,7 @@ class TestOptimizer:
         monkeypatch.setattr(wirecoupling.channel, "lu_factor", counting_factor)
         imps = grid_4x4_imps()
         result = optimize_tuning(imps, TuningState.from_reactances(np.zeros(16)))
-        assert len(calls) <= 16 * (len(result.trace) - 1) + 3
+        assert len(calls) <= 16 * (len(result.trace) - 1) + 2
 
     def test_budget_20_on_4x4_grid(self):
         imps = grid_4x4_imps()

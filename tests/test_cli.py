@@ -287,6 +287,17 @@ class TestSweepCommand:
         assert [r[8] for r in rows] == ["ok", "ResonantLength", "ok"]
         assert "1 failed" in capsys.readouterr().out
 
+    def test_crowded_spacing_point_fails_as_geometry(self, tmp_path):
+        # a 1e-7 m pitch over the 0.375 m aperture would hold 1.4e13
+        # wires; the grid refuses it from the pitch alone
+        cfg_path = write_config(tmp_path, grid_config(rows=4, cols=4))
+        out = tmp_path / "out"
+        assert main(["sweep", cfg_path, "--param", "spacing",
+                     "--from", "1e-7", "--to", repr(0.125 * LAM),
+                     "--points", "2", "--out", str(out)]) == 0
+        rows = read_sweep(out / "sweep.csv")
+        assert [r[8] for r in rows] == ["GeometryError", "ok"]
+
     def test_bad_point_count_exits_1(self, tmp_path):
         cfg_path = write_config(tmp_path, grid_config(rows=2, cols=2))
         assert main(["sweep", cfg_path, "--param", "spacing",

@@ -14,7 +14,6 @@ from wirecoupling import (
     load_scene_config,
     parse_scene_config,
     resolve_sweep_scene,
-    scene_config_to_dict,
     tuning_for_scene,
     wavelength,
 )
@@ -206,26 +205,6 @@ class TestLoad:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_scene_config(tmp_path / "absent.json")
-
-
-class TestRoundTrip:
-    def test_grid_document_survives_json_cycle(self):
-        cfg = parse_scene_config(grid_config())
-        doc = scene_config_to_dict(cfg)
-        again = parse_scene_config(json.loads(json.dumps(doc)))
-        assert again.scene == cfg.scene
-        assert np.array_equal(again.tuning.entries, cfg.tuning.entries)
-        # resolved documents are meter-denominated
-        assert doc["lambda_units"] is False
-
-    def test_elements_document_survives_json_cycle(self):
-        data = elements_config()
-        data["tuning"] = {"optimize": {"budget": 7}}
-        cfg = parse_scene_config(data)
-        doc = scene_config_to_dict(cfg)
-        again = parse_scene_config(json.loads(json.dumps(doc)))
-        assert again.scene == cfg.scene
-        assert again.optimize == cfg.optimize
 
 
 class TestSweepResolution:

@@ -1,6 +1,7 @@
 """Dipole, scene, and grid construction invariants."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -42,12 +43,6 @@ class TestDipole:
         assert d.center == (1.0, 2.0, 3.0)
         assert isinstance(d.center, tuple)
 
-    def test_z_extent(self):
-        d = make_dipole(z=0.5, h=0.2)
-        lo, hi = d.z_extent
-        assert lo == pytest.approx(0.3)
-        assert hi == pytest.approx(0.7)
-
     def test_rejects_fat_wire(self):
         # 0.026 m radius on 0.25 m half-length breaks the a < h/10 limit
         with pytest.raises(GeometryError, match="thin-wire"):
@@ -86,41 +81,50 @@ class TestWavelength:
 class TestPairGeometry:
     def test_self_term_uses_radius(self):
         d = make_dipole(a=0.001)
-        g = pair_geometry(d, d, same=True)
-        assert g.rho == 0.001
-        assert g.dz == 0.0
-        assert g.h_p == g.h_q == 0.25
+        rho, dz, h_p, h_q = pair_geometry([d], [0], [0])
+        assert rho.tolist() == [0.001]
+        assert dz.tolist() == [0.0]
+        assert h_p.tolist() == h_q.tolist() == [0.25]
+
+    def test_self_terms_mix_with_distinct_pairs(self):
+        p = make_dipole(a=0.001)
+        q = make_dipole(x=0.3, y=0.4, z=0.2, h=0.2, a=0.002)
+        rho, dz, h_p, h_q = pair_geometry([p, q], [0, 0, 1], [0, 1, 1])
+        assert rho.tolist() == [0.001, math.hypot(0.3, 0.4), 0.002]
+        assert dz.tolist() == [0.0, 0.2, 0.0]
+        assert h_p.tolist() == [0.25, 0.25, 0.2]
+        assert h_q.tolist() == [0.25, 0.2, 0.2]
 
     def test_three_four_five_offsets(self):
         p = make_dipole()
         q = make_dipole(x=0.3, y=0.4, z=0.2)
-        g = pair_geometry(p, q)
-        assert g.rho == pytest.approx(0.5, rel=1e-15)
-        assert g.dz == pytest.approx(0.2, rel=1e-15)
-        # swapped roles flip the z offset but not the separation
-        back = pair_geometry(q, p)
-        assert back.rho == pytest.approx(0.5, rel=1e-15)
-        assert back.dz == pytest.approx(-0.2, rel=1e-15)
+        # forward, then with swapped roles: the z offset flips, the
+        # separation does not
+        rho, dz, _, _ = pair_geometry([p, q], [0, 1], [1, 0])
+        assert rho == pytest.approx([0.5, 0.5], rel=1e-15)
+        assert dz == pytest.approx([0.2, -0.2], rel=1e-15)
 
     def test_coaxial_pair(self):
         p = make_dipole()
         q = make_dipole(z=1.0)
-        g = pair_geometry(p, q)
-        assert g.rho == 0.0
-        assert g.dz == 1.0
+        rho, dz, _, _ = pair_geometry([p, q], [0], [1])
+        assert rho.tolist() == [0.0]
+        assert dz.tolist() == [1.0]
 
     def test_symmetry_over_random_placements(self):
         rng = np.random.default_rng(3)
+        wires = []
         for _ in range(50):
             x, y, z = rng.uniform(-2, 2, size=3)
-            p = make_dipole(h=float(rng.uniform(0.1, 0.4)))
-            q = make_dipole(x, y, z, h=float(rng.uniform(0.1, 0.4)))
-            fwd = pair_geometry(p, q)
-            rev = pair_geometry(q, p)
-            assert fwd.rho == rev.rho
-            assert fwd.dz == -rev.dz
-            assert fwd.h_p == rev.h_q
-            assert fwd.h_q == rev.h_p
+            wires.append(make_dipole(h=float(rng.uniform(0.1, 0.4))))
+            wires.append(make_dipole(x, y, z, h=float(rng.uniform(0.1, 0.4))))
+        src, obs = np.arange(0, 100, 2), np.arange(1, 100, 2)
+        fwd = pair_geometry(wires, src, obs)
+        rev = pair_geometry(wires, obs, src)
+        assert np.array_equal(fwd[0], rev[0])
+        assert np.array_equal(fwd[1], -rev[1])
+        assert np.array_equal(fwd[2], rev[3])
+        assert np.array_equal(fwd[3], rev[2])
 
 
 class TestBuildGrid:
@@ -128,20 +132,16 @@ class TestBuildGrid:
         lam = wavelength(FREQ)
         grid = build_grid(1, 2, spacing=lam / 2, half_length=0.25, radius=0.001)
         assert len(grid) == 2
-        g = pair_geometry(grid[0], grid[1])
-        assert g.rho == pytest.approx(lam / 2, rel=1e-15)
-        assert g.dz == 0.0
+        rho, dz, _, _ = pair_geometry(grid, [0], [1])
+        assert rho[0] == pytest.approx(lam / 2, rel=1e-15)
+        assert dz[0] == 0.0
 
     def test_square_grid_pair_distances(self):
         lam = wavelength(FREQ)
         s = lam / 8
         grid = build_grid(2, 2, spacing=s, half_length=0.25, radius=0.001)
         assert len(grid) == 4
-        dists = sorted(
-            pair_geometry(grid[i], grid[j]).rho
-            for i in range(4)
-            for j in range(i + 1, 4)
-        )
+        dists = np.sort(pair_geometry(grid, *np.triu_indices(4, 1))[0])
         # 4 edges at the lattice pitch, 2 diagonals at pitch*sqrt(2)
         assert len(dists) == 6
         for d in dists[:4]:
@@ -184,6 +184,43 @@ class TestBuildGrid:
     def test_transverse_overlap_rejected(self):
         with pytest.raises(GeometryError, match="overlap"):
             build_grid(1, 2, spacing=0.0015, half_length=0.25, radius=0.001)
+
+    @pytest.mark.parametrize("rows, cols, plane", [
+        (1, 2, "xy"), (3, 1, "xy"), (2, 3, "xy"),
+        (1, 3, "xz"), (2, 1, "xz"), (3, 4, "xz"),
+    ])
+    @pytest.mark.parametrize("spacing", [0.0015, 0.0025, 0.3, 0.45, 0.55])
+    def test_pitch_check_matches_pairwise_loop(self, rows, cols, plane,
+                                               spacing):
+        # radius 0.001 m and half-length 0.25 m: limits at 0.002 and 0.5 m
+        wires = []
+        for r in range(rows):
+            for c in range(cols):
+                u = (c - 0.5 * (cols - 1)) * spacing
+                v = (r - 0.5 * (rows - 1)) * spacing
+                wires.append(make_dipole(u, v, 0.0) if plane == "xy"
+                             else make_dipole(u, 0.0, v))
+        pair = first_overlap_loop(wires)
+        if pair is None:
+            grid = build_grid(rows, cols, spacing, 0.25, 0.001, plane=plane)
+            assert grid == tuple(wires)
+        else:
+            with pytest.raises(GeometryError, match=f"grid elements {pair[0]} "
+                               f"and {pair[1]} overlap"):
+                build_grid(rows, cols, spacing, 0.25, 0.001, plane=plane)
+
+    def test_crowded_pitch_fails_before_building(self, monkeypatch):
+        # 3.75e6 wires a side: the 0.375 m aperture of a 4 x 4 lambda/8
+        # grid at a 1e-7 m pitch
+        def refuse(*args, **kwargs):
+            raise AssertionError("a wire was built")
+
+        monkeypatch.setattr(geometry, "Dipole", refuse)
+        start = time.perf_counter()
+        with pytest.raises(GeometryError, match="grid elements 0 and 1"):
+            build_grid(3_750_001, 3_750_001, spacing=1e-7, half_length=0.23,
+                       radius=0.002)
+        assert time.perf_counter() - start < 0.5
 
     def test_input_validation(self):
         with pytest.raises(GeometryError):

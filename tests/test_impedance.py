@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import namedtuple
 from pathlib import Path
 
 import mpmath
@@ -19,7 +20,6 @@ from wirecoupling import (
     Scene,
     adaptive_quad,
     assemble_impedances,
-    axial_field_kernel,
     build_grid,
     mutual_impedance,
     mutual_impedance_oracle,
@@ -27,10 +27,8 @@ from wirecoupling import (
     segment_kernel_integral,
     wavelength,
     wavenumber,
-    wire_kernel_integral,
 )
 from wirecoupling import impedance
-from wirecoupling.geometry import PairGeometry
 
 # Per-pair scalar closed-form values of three scenes, taken before the
 # kernel became array-native; the file names the commit.
@@ -39,6 +37,23 @@ SCALAR_REFERENCE = Path(__file__).parent / "data" / "scalar_reference.json"
 FREQ = 3.0e8  # [Hz]
 LAM = wavelength(FREQ)
 K = wavenumber(FREQ)
+
+# One pair as pair_geometry reduces it, in scalars.
+Pair = namedtuple("Pair", "rho dz h_p h_q")
+
+
+def wire_kernel(xi_p, s0, geom, k) -> complex:
+    # the observer-wire integral of the closed form: two segment halves
+    # joined at z = 0, the lower one with the sign -s0
+    z0 = xi_p - geom.dz
+    return (segment_kernel_integral(-s0, geom.rho, z0, -geom.h_q, 0.0, k)
+            + segment_kernel_integral(s0, geom.rho, z0, 0.0, geom.h_q, k))
+
+
+def field_kernel(z, geom, k) -> complex:
+    # the field the oracle integrates against the observer current
+    return k / math.sin(k * geom.h_p) * impedance._field_terms(
+        z, geom.rho, geom.dz, geom.h_p, k)
 
 
 def segment_defining_integral(s0, d0, z0, z_lo, z_hi, k, tol=1e-12) -> complex:
@@ -185,7 +200,7 @@ class TestWireKernel:
     def test_random_draws_against_defining_integral(self):
         rng = np.random.default_rng(29)
         for _ in range(50):
-            geom = PairGeometry(
+            geom = Pair(
                 rho=float(rng.uniform(LAM / 20, 3 * LAM)),
                 dz=float(rng.uniform(-2 * LAM, 2 * LAM)),
                 h_p=float(rng.uniform(0.1 * LAM, 0.45 * LAM)),
@@ -193,14 +208,14 @@ class TestWireKernel:
             )
             xi_p = float(rng.choice([-geom.h_p, 0.0, geom.h_p]))
             s0 = 1 if rng.uniform() < 0.5 else -1
-            value = wire_kernel_integral(xi_p, s0, geom, K)
+            value = wire_kernel(xi_p, s0, geom, K)
             reference = wire_defining_integral(xi_p, s0, geom, K)
             assert abs(value - reference) <= 1e-9 * abs(reference)
 
     def test_vanishing_observer_gives_vanishing_integral(self):
         base = dict(rho=0.5 * LAM, dz=0.2 * LAM, h_p=0.25 * LAM)
-        small = wire_kernel_integral(0.0, 1, PairGeometry(h_q=1e-6, **base), K)
-        smaller = wire_kernel_integral(0.0, 1, PairGeometry(h_q=5e-7, **base), K)
+        small = wire_kernel(0.0, 1, Pair(h_q=1e-6, **base), K)
+        smaller = wire_kernel(0.0, 1, Pair(h_q=5e-7, **base), K)
         assert abs(small) <= 1e-4
         # interval length halves, integral halves
         assert abs(smaller) == pytest.approx(0.5 * abs(small), rel=1e-3)
@@ -212,21 +227,21 @@ class TestFieldKernel:
         # current-weighted potential
         rng = np.random.default_rng(31)
         for _ in range(5):
-            geom = PairGeometry(
+            geom = Pair(
                 rho=float(rng.uniform(LAM / 10, 2 * LAM)),
                 dz=float(rng.uniform(-LAM, LAM)),
                 h_p=float(rng.uniform(0.15 * LAM, 0.35 * LAM)),
                 h_q=0.25 * LAM,
             )
             z = float(rng.uniform(-0.5 * LAM, 0.5 * LAM))
-            value = axial_field_kernel(z, geom, K)
+            value = field_kernel(z, geom, K)
             reference = field_kernel_oracle(z, geom, K)
             assert abs(value - reference) <= 1e-4 * abs(reference)
 
     def test_half_wave_reduces_to_two_waves(self):
         # cos(k*h_p) = 0 kills the feed term
         h = math.pi / (2.0 * K)
-        geom = PairGeometry(rho=0.8 * LAM, dz=0.1 * LAM, h_p=h, h_q=h)
+        geom = Pair(rho=0.8 * LAM, dz=0.1 * LAM, h_p=h, h_q=h)
         z = 0.07 * LAM
         sin_p = math.sin(K * h)
         expected = 0.0 + 0.0j
@@ -234,27 +249,19 @@ class TestFieldKernel:
             r = math.hypot(geom.rho, geom.dz + z - xi)
             expected += np.exp(-1j * K * r) / r
         expected *= K / sin_p
-        value = axial_field_kernel(z, geom, K)
+        value = field_kernel(z, geom, K)
         assert abs(value - expected) <= 1e-12 * abs(expected)
 
     def test_spherical_spreading(self):
         h = 0.2 * LAM
-        near = PairGeometry(rho=10 * LAM, dz=0.0, h_p=h, h_q=h)
-        far = PairGeometry(rho=100 * LAM, dz=0.0, h_p=h, h_q=h)
-        ratio = abs(axial_field_kernel(0.0, near, K)) / abs(
-            axial_field_kernel(0.0, far, K)
-        )
+        near = Pair(rho=10 * LAM, dz=0.0, h_p=h, h_q=h)
+        far = Pair(rho=100 * LAM, dz=0.0, h_p=h, h_q=h)
+        ratio = abs(field_kernel(0.0, near, K)) / abs(field_kernel(0.0, far, K))
         assert abs(ratio - 10.0) <= 1.5
 
-    def test_resonant_source_raises(self):
-        geom = PairGeometry(rho=LAM, dz=0.0, h_p=0.5 * LAM, h_q=0.25 * LAM)
-        with pytest.raises(ResonantLength):
-            axial_field_kernel(0.0, geom, K)
-
     def test_point_on_singularity_raises(self):
-        geom = PairGeometry(rho=0.0, dz=0.0, h_p=0.25, h_q=0.25)
         with pytest.raises(DomainError):
-            axial_field_kernel(0.25, geom, K)
+            impedance._field_terms(0.25, 0.0, 0.0, 0.25, K)
 
 
 def half_wave(x=0.0, y=0.0, z=0.0) -> Dipole:
@@ -339,7 +346,8 @@ class TestMutualImpedance:
         q = Dipole((1e-12, 0.0, 0.3 * LAM), LAM / 4, 2.5e-13)
         Scene(p, q, (half_wave(x=LAM),), FREQ)  # an admissible pair
         value = mutual_impedance(p, q, K)
-        reference = mpmath_mutual_impedance(pair_geometry(p, q), K)
+        geom = Pair(*(float(v[0]) for v in pair_geometry([p, q], [0], [1])))
+        reference = mpmath_mutual_impedance(geom, K)
         assert abs(value - reference) <= 1e-12 * abs(reference)
 
     def test_resonant_length_raises(self):
@@ -571,12 +579,3 @@ class TestArrayKernel:
         columns = [np.array([g, b, g]) for g, b in zip(good, bad)]
         with pytest.raises(error):
             segment_kernel_integral(*columns, K)
-
-    def test_wire_kernel_broadcasts_over_source_points(self):
-        geom = PairGeometry(rho=0.4 * LAM, dz=0.1 * LAM, h_p=0.23 * LAM,
-                            h_q=0.2 * LAM)
-        xi = np.array([geom.h_p, -geom.h_p, 0.0])
-        values = wire_kernel_integral(xi[:, None], np.array([1, -1]), geom, K)
-        for i, x in enumerate(xi):
-            for j, s0 in enumerate((1, -1)):
-                assert values[i, j] == wire_kernel_integral(x, s0, geom, K)
