@@ -5,20 +5,20 @@ the tuning matrix). The transmitter-to-receiver transfer impedance is
 
     h = z_rt - z_rs^T (Z_ss + diag(tuning))^(-1) z_st
 
-computed with an LU solve, never an explicit inverse. A cyclic
-coordinate-ascent optimizer adjusts per-element reactances to maximize
-|h|. Changing one load is a rank-1 update of the system, so each step
-moves a reactance straight to its exact maximizer over the bounds (a
-closed form from Sherman-Morrison). Each proposed move gets one checked
-factorization, and the factorization of an accepted move serves the
-next step.
+computed with a checked LU solve. A cyclic coordinate-ascent optimizer
+adjusts per-element reactances to maximize |h|. Changing one load is a
+rank-1 update of the system, so each step moves a reactance straight to
+its exact maximizer over the bounds (a closed form from Sherman-Morrison)
+and updates the optimizer's inverse in O(N^2), under the same gates as
+the solve; one checked factorization per sweep bounds the drift.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -74,10 +74,6 @@ class TuningState:
         """Purely reactive state from a vector of reactances in ohms."""
         x = np.asarray(x, dtype=float)
         return cls(1j * x, reactance_only=True, reactance_bounds=reactance_bounds)
-
-    @property
-    def n_elements(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -176,23 +172,35 @@ def end_to_end(
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """Optimizer outcome: best tuning, its channel, and the trace of
-    |h_e2e| after the initial state and each completed sweep."""
+    """Optimizer outcome: best tuning, its channel, the trace of |h_e2e|
+    after the initial state and each completed sweep, and why the search
+    stopped: "converged" (the last sweep accepted no move) or "budget"."""
 
     tuning: TuningState
     channel: ChannelResult
-    trace: tuple[float, ...] = field(default_factory=tuple)
+    trace: tuple[float, ...]
+    stop_reason: str
 
 
-def _coordinate_step(imps: ImpedanceSet, solved, idx: int, current: float,
-                     lo: float, hi: float) -> float:
+def _real_roots(a: float, b: float, c: float) -> tuple[float, ...]:
+    """Real roots of a t^2 + b t + c (of b t + c when a = 0)."""
+    if a == 0.0:
+        return (-c / b,) if b != 0.0 else ()
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return ()
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))  # no cancellation
+    return (q / a, c / q) if q != 0.0 else (0.0, 0.0)
+
+
+def _coordinate_step(state, idx: int, current: float, lo: float,
+                     hi: float) -> float:
     """Reactance in [lo, hi] of element idx that maximizes |h|, the
     others held fixed (current, the present reactance, when nothing
-    beats it). solved is the _solve result of the present state; its
-    factorization is reused, so the step factors nothing.
+    beats it). state is the present (A^-1, x, y, h), see _inverse.
 
     With A = Z_ss + diag(entries), x = A^-1 z_st, y = A^-1 z_rs and
-    g = (A^-1)_ii, a reactance change t of element idx is the rank-1
+    g = (A^-1)_ii, a reactance change t of element i is the rank-1
     update A + j t e_i e_i^T. A is symmetric, so Sherman-Morrison gives
 
         h(t) = h + j t x_i y_i / (1 + j t g) = (h + j t q) / (1 + j t g)
@@ -202,24 +210,52 @@ def _coordinate_step(imps: ImpedanceSet, solved, idx: int, current: float,
     are the real roots of one quadratic. The best of those inside the
     bounds, the two bounds and t = 0 is the exact maximizer.
     """
-    lu_piv, x, h, _ = solved
-    unit = np.zeros(x.shape[0], dtype=complex)
-    unit[idx] = 1.0
-    y_i, g = lu_solve(lu_piv, np.column_stack((imps.z_rs, unit)))[idx]
-    q = h * g + x[idx] * y_i
+    inv, x, y, h = state
+    g = complex(inv[idx, idx])
+    q = h * g + complex(x[idx]) * complex(y[idx])
     # |h(t)|^2 = (a0 + a1 t + a2 t^2) / (b0 + b1 t + b2 t^2)
     a0, a1, a2 = abs(h) ** 2, 2.0 * (h * q.conjugate()).imag, abs(q) ** 2
     b0, b1, b2 = 1.0, -2.0 * g.imag, abs(g) ** 2
-    roots = np.roots([a2 * b1 - a1 * b2, 2.0 * (a2 * b0 - a0 * b2),
-                      a1 * b0 - a0 * b1])
-    candidates = [current, lo, hi] + [
-        current + t.real for t in roots
-        if t.imag == 0.0 and lo <= current + t.real <= hi
-    ]
-    t = np.array(candidates) - current
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gain = np.abs((h + 1j * t * q) / (1.0 + 1j * t * g))
-    return candidates[int(np.nanargmax(gain))]
+    roots = _real_roots(a2 * b1 - a1 * b2, 2.0 * (a2 * b0 - a0 * b2),
+                        a1 * b0 - a0 * b1)
+
+    def gain(target):  # |h(t)|; a pole wins, a 0/0 point never does
+        t = target - current
+        num, den = abs(h + 1j * t * q), abs(1.0 + 1j * t * g)
+        return num / den if den else (math.inf if num else -math.inf)
+
+    return max([current, lo, hi] + [current + t for t in roots
+                                    if lo <= current + t <= hi], key=gain)
+
+
+def _inverse(imps: ImpedanceSet, solved):
+    """(A^-1, x, y, h) of a _solve result, by one lu_solve against I."""
+    lu_piv, x, h, _ = solved
+    inv = lu_solve(lu_piv, np.eye(x.shape[0], dtype=complex))
+    return inv, x, inv @ imps.z_rs, h
+
+
+def _rank1(imps: ImpedanceSet, entries: np.ndarray, state, idx: int,
+           t: float, cond_cap: float):
+    """state after entry idx, already moved in entries, changed by j t:
+    A^-1 -= coef c c^T with c = A^-1 e_idx (Sherman-Morrison). None when
+    the update is not finite, or fails _solve's condition cap (on the
+    exact |A|_1 |A^-1|_1, never below zgecon's estimate) or residual gate.
+    """
+    inv, x, y, h = state
+    col, system = inv[:, idx], imps.z_ss + np.diag(entries)
+    with np.errstate(all="ignore"):  # a non-finite update fails below
+        coef = 1j * t / (1.0 + 1j * t * inv[idx, idx])
+        h = complex(h + coef * x[idx] * y[idx])
+        inv = inv - col[:, None] * (coef * col)
+        x, y = x - (coef * x[idx]) * col, y - (coef * y[idx]) * col
+        cond = np.abs(system).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
+        # Row sums: a BLAS matvec would wake a thread pool every step.
+        residual = np.linalg.norm((system * x).sum(axis=1) - imps.z_st)
+    ok = (math.isfinite(cond) and cond <= cond_cap and math.isfinite(abs(h))
+          and residual <= _RESIDUAL_REL_MAX * np.linalg.norm(imps.z_st)
+          and np.isfinite(y).all())
+    return (inv, x, y, h) if ok else None
 
 
 def optimize_tuning(
@@ -230,18 +266,16 @@ def optimize_tuning(
 ) -> OptimizeResult:
     """Maximize |h_e2e| over per-element reactances.
 
-    Cyclic coordinate ascent: each sweep visits the elements in order and
-    moves each reactance to its exact maximizer over the bounds, the
-    others held fixed (a closed-form rank-1 step, see _coordinate_step).
-    The formula only proposes: the proposed state gets one checked
-    factorization and solve, with end_to_end's condition cap and residual
-    gate, and the move is accepted only when that checked |h_e2e| is
-    strictly larger. The accepted factorization then serves the next
-    step, so each proposed move costs one LU. The trace of |h_e2e| values
-    is therefore non-decreasing. budget caps the number of full sweeps;
-    the search stops early once a sweep brings no improvement, so the run
-    converged exactly when the last two trace entries are equal and
-    stopped at the budget otherwise.
+    Cyclic coordinate ascent: each sweep moves each reactance in turn to
+    its exact maximizer over the bounds (see _coordinate_step). A move
+    updates the optimizer's inverse (_rank1) under end_to_end's gates, or
+    gets a checked solve where it fails them, and is accepted only when
+    |h_e2e| strictly rises. A sweep that moved ends with one checked
+    solve, its trace entry; should that fail or not rise above the last
+    entry, the sweep is redone with a checked solve per proposal. The
+    trace is non-decreasing. budget caps the sweeps; stop_reason is
+    "converged" when the last sweep accepted no move (its trace entry
+    repeats the one before), "budget" otherwise.
 
     Real parts of the entries are held fixed; with reactance_only set
     they are all zero. The procedure is deterministic.
@@ -253,7 +287,7 @@ def optimize_tuning(
         raise DomainError("optimizer budget must be an integer >= 1")
 
     # One checked solve of the start: its factorization serves the first
-    # step, and _channel raises the gain's DomainErrors up front.
+    # sweep, and _channel raises the gain's DomainErrors up front.
     entries = init.entries.copy()
     try:
         solved = _solve(imps, entries, cond_cap)
@@ -264,30 +298,42 @@ def optimize_tuning(
         )
     _channel(imps, solved)
     lo, hi = init.reactance_bounds
-    trace = [abs(solved[2])]
+    state, trace = _inverse(imps, solved), [abs(solved[2])]
+    stop_reason = "budget"
 
     for _ in range(budget):
-        improved = False
-        for idx in range(entries.shape[0]):
-            current = entries[idx]
-            target = _coordinate_step(imps, solved, idx, current.imag, lo, hi)
-            if target == current.imag:
-                continue
-            entries[idx] = current.real + 1j * target
-            try:
-                proposal = _solve(imps, entries, cond_cap)
-            except SingularSystem:
-                proposal = None
-            if proposal is not None and abs(proposal[2]) > abs(solved[2]):
-                solved, improved = proposal, True
-            else:
-                entries[idx] = current
-        trace.append(abs(solved[2]))
-        if not improved:
+        start_entries, start_state = entries.copy(), state
+        for checked in (False, True):  # True: the redo, _solve per move
+            entries[:], state = start_entries, start_state
+            for idx in range(entries.shape[0]):
+                current = entries[idx]
+                target = _coordinate_step(state, idx, current.imag, lo, hi)
+                if target == current.imag:
+                    continue
+                entries[idx] = current.real + 1j * target
+                proposal = None if checked else _rank1(
+                    imps, entries, state, idx, target - current.imag, cond_cap)
+                if proposal is None:
+                    with suppress(SingularSystem):
+                        proposal = _inverse(imps, _solve(imps, entries, cond_cap))
+                if proposal is not None and abs(proposal[3]) > abs(state[3]):
+                    state = proposal
+                else:
+                    entries[idx] = current
+            if checked or state is start_state:
+                break
+            with suppress(SingularSystem):  # one checked solve per sweep
+                refreshed = _inverse(imps, _solve(imps, entries, cond_cap))
+                if abs(refreshed[3]) > trace[-1]:
+                    state = refreshed
+                    break
+        trace.append(abs(state[3]))
+        if state is start_state:  # the sweep accepted no move
+            stop_reason = "converged"
             break
 
     final_state = TuningState(entries, reactance_only=init.reactance_only,
                               reactance_bounds=init.reactance_bounds)
     return OptimizeResult(tuning=final_state,
                           channel=end_to_end(imps, final_state, cond_cap),
-                          trace=tuple(trace))
+                          trace=tuple(trace), stop_reason=stop_reason)

@@ -129,6 +129,7 @@ def _cmd_channel(cfg: SceneConfig, args) -> int:
             "tuning_im_ohm": [z.imag for z in opt.tuning.entries],
             "objective_trace": list(opt.trace),
             "iterations": len(opt.trace) - 1,
+            "stop_reason": opt.stop_reason,
         })
 
     _write_json(out / "channel.json", payload)

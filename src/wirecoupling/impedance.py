@@ -62,9 +62,9 @@ def segment_kernel_integral(s0, d0, z0, z_lo, z_hi, k: float):
     rewritten as d0^2 / (sqrt(d0^2 + t^2) - s0*t) to avoid losing all
     significant digits.
 
-    Every argument but k broadcasts: scalars give a complex, arrays give
-    a complex array of the broadcast shape, and all its E1 values come
-    from one exp_integral_e1 call.
+    Every argument but k is an array, and they broadcast: the result is a
+    complex array of the broadcast shape, and all its E1 values come from
+    one exp_integral_e1 call.
 
     On-axis limit: with the segment behind the source point (s0*(t - z0)
     < 0 throughout) and d0 <= 1e-8 * min|t - z0|, the phase is constant
@@ -78,11 +78,7 @@ def segment_kernel_integral(s0, d0, z0, z_lo, z_hi, k: float):
     negative or NaN d0, an invalid sign, a reversed interval or k <= 0.
     An empty interval (z_lo == z_hi) integrates to zero.
     """
-    # Scalars run as one-element arrays, through the same numpy loops as
-    # a batch, so a scalar call returns bit for bit its batched value.
-    scalar = all(np.ndim(v) == 0 for v in (s0, d0, z0, z_lo, z_hi))
-    s0, d0, z0, z_lo, z_hi = np.broadcast_arrays(
-        *(np.atleast_1d(v) for v in (s0, d0, z0, z_lo, z_hi)))
+    s0, d0, z0, z_lo, z_hi = np.broadcast_arrays(s0, d0, z0, z_lo, z_hi)
     bad = (s0 != 1) & (s0 != -1)
     if np.any(bad):
         raise DomainError("segment_kernel_integral: s0 must be +1 or -1, "
@@ -124,7 +120,7 @@ def segment_kernel_integral(s0, d0, z0, z_lo, z_hi, k: float):
                                  where=on_axis))
     value = np.where(on_axis, phase * np.abs(log_ratio),
                      s0 * phase * (e1[0] - e1[1]))
-    return complex(value[0]) if scalar else value
+    return value
 
 
 def _field_terms(z, rho: float, dz: float, h_p: float, k: float):

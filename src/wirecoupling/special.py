@@ -30,8 +30,8 @@ SICI_CROSSOVER = 40.0
 def exp_integral_e1(c):
     """E1(c) = integral of exp(-u)/u for u from c to infinity.
 
-    Principal branch, |arg(c)| < pi; a scalar gives a complex, an array
-    a complex array of its shape. c = j*x with 0 < x < SICI_CROSSOVER,
+    Principal branch, |arg(c)| < pi; c is an array and the result a
+    complex array of its shape. c = j*x with 0 < x < SICI_CROSSOVER,
     the bulk of what the closed-form couplings use, is evaluated as
     -Ci(x) + j*(Si(x) - pi/2) by scipy.special.sici, every other
     argument by scipy.special.exp1. Against mpmath, the worst relative
@@ -70,7 +70,7 @@ def exp_integral_e1(c):
     out.imag[axis] = si - 0.5 * math.pi
     rest = ~axis
     out[rest] = exp1(c[rest])
-    return complex(out) if out.ndim == 0 else out
+    return out
 
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1]. The 7-point Gauss rule

@@ -47,7 +47,7 @@ class TestTuningState:
         t = TuningState.from_reactances([10.0, -20.0])
         assert np.array_equal(t.entries, np.array([10j, -20j]))
         assert t.reactance_only
-        assert t.n_elements == 2
+        assert t.entries.shape[0] == 2
 
     def test_rejects_resistive_part_in_reactive_mode(self):
         with pytest.raises(DomainError, match="resistive"):
@@ -209,13 +209,13 @@ def random_single_element_imps(seed: int) -> ImpedanceSet:
     return assemble_impedances(Scene(tx, rx, (element,), FREQ))
 
 
-def grid_4x4_imps() -> ImpedanceSet:
-    # 4 x 4 lambda/8 grid of 0.23 lambda wires between a transmitter and
+def grid_imps(n: int = 4) -> ImpedanceSet:
+    # n x n lambda/8 grid of 0.23 lambda wires between a transmitter and
     # a receiver 6 lambda apart, at a frequency where lambda is 1 m.
     def wire(center):
         return Dipole(center, half_length=0.23, radius=0.002)
 
-    surface = build_grid(4, 4, spacing=0.125, half_length=0.23, radius=0.002)
+    surface = build_grid(n, n, spacing=0.125, half_length=0.23, radius=0.002)
     scene = Scene(wire((0.0, -3.0, 0.0)), wire((0.0, 3.0, 0.0)), surface,
                   299_792_458.0)
     return assemble_impedances(scene)
@@ -317,9 +317,9 @@ class TestOptimizer:
         with pytest.raises(DomainError):
             optimize_tuning(imps, init, budget=2.0)
 
-    def test_one_factorization_per_proposed_move(self, monkeypatch):
-        # Each step reuses the factorization of the accepted state, so a
-        # run factors once per proposal, plus the start and the final state.
+    def test_one_factorization_per_sweep(self, monkeypatch):
+        # Steps update the maintained inverse, so a run factors the start,
+        # once at the end of each sweep that moved, and the final state.
         calls = []
         factor = wirecoupling.channel.lu_factor
 
@@ -328,21 +328,82 @@ class TestOptimizer:
             return factor(*args, **kwargs)
 
         monkeypatch.setattr(wirecoupling.channel, "lu_factor", counting_factor)
-        imps = grid_4x4_imps()
+        imps = grid_imps()
         result = optimize_tuning(imps, TuningState.from_reactances(np.zeros(16)))
-        assert len(calls) <= 16 * (len(result.trace) - 1) + 2
+        assert len(calls) <= (len(result.trace) - 1) + 2
 
     def test_budget_20_on_4x4_grid(self):
-        imps = grid_4x4_imps()
+        imps = grid_imps()
         result = optimize_tuning(imps, TuningState.from_reactances(np.zeros(16)),
                                  budget=20)
         assert len(result.trace) == 21
         assert result.channel.gain_db == pytest.approx(4.3283307037, abs=1e-9)
+        assert result.stop_reason == "budget"
+        assert result.trace[-1] > result.trace[-2]
+
+    def test_budget_5_on_8x8_grid(self):
+        result = optimize_tuning(grid_imps(8),
+                                 TuningState.from_reactances(np.zeros(64)),
+                                 budget=5)
+        assert result.channel.gain_db == pytest.approx(5.7865209174, abs=1e-9)
+
+    def test_converged_run_says_so(self):
+        result = optimize_tuning(single_element_imps(),
+                                 TuningState.from_reactances([0.0]))
+        assert result.stop_reason == "converged"
+        assert len(result.trace) == 3
+        assert result.trace[-1] == result.trace[-2]
+
+    def test_failed_refresh_redoes_the_sweep_step_by_step(self, monkeypatch):
+        # The first end-of-sweep solve fails once, so sweep 1 is redone
+        # with a checked solve of every proposal; the trace still follows
+        # the step-by-step path (one checked solve per proposed move).
+        solve = wirecoupling.channel._solve
+        calls = []
+
+        def failing_once(*args):
+            calls.append(1)
+            if len(calls) == 2:  # after the start, the first refresh
+                raise SingularSystem("refresh refused")
+            return solve(*args)
+
+        monkeypatch.setattr(wirecoupling.channel, "_solve", failing_once)
+        result = optimize_tuning(grid_imps(),
+                                 TuningState.from_reactances(np.zeros(16)),
+                                 budget=3)
+        # start, failed refresh, 16 checked proposals, the refreshes of
+        # sweeps 2 and 3, and the final state's end_to_end
+        assert len(calls) == 21
+        # |h| after the start and sweeps 1-3 of the step-by-step optimizer
+        # (a checked solve per proposed move), which this must reproduce
+        per_step = (1.4935963566210833, 2.9848045794506692,
+                    3.6508340312402643, 3.7501275317144205)
+        assert result.trace == pytest.approx(per_step, rel=1e-12)
+
+    def test_rank1_update_matches_checked_solve(self):
+        # One reactance move as a rank-1 update of the maintained inverse
+        # agrees with a fresh checked solve; a cap below the exact 1-norm
+        # condition of the moved system refuses it.
+        channel = wirecoupling.channel
+        imps = grid_imps()
+        entries = np.zeros(16, dtype=complex)
+        state = channel._inverse(imps, channel._solve(imps, entries, 1e12))
+        entries[5] = 150j
+        moved = channel._rank1(imps, entries, state, 5, 150.0, 1e12)
+        fresh = channel._inverse(imps, channel._solve(imps, entries, 1e12))
+        for got, want in zip(moved, fresh):
+            assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+        system = imps.z_ss + np.diag(entries)
+        exact = np.linalg.norm(system, 1) * np.linalg.norm(fresh[0], 1)
+        assert channel._rank1(imps, entries, state, 5, 150.0,
+                              0.999 * exact) is None
+        assert channel._rank1(imps, entries, state, 5, 150.0,
+                              1.001 * exact) is not None
 
     def test_condition_cap_rejects_probes_mid_run(self):
         # A cap of three times the starting estimate lets the run start
         # but refuses some of the proposed moves along the way.
-        imps = grid_4x4_imps()
+        imps = grid_imps()
         init = TuningState.from_reactances(np.zeros(16))
         cap = 3.0 * end_to_end(imps, init).condition_estimate
         result = optimize_tuning(imps, init, cond_cap=cap)
@@ -356,3 +417,30 @@ class TestOptimizer:
         # a condition cap below 1 rejects every linear solve
         with pytest.raises(SingularSystem, match="every probed"):
             optimize_tuning(imps, init, cond_cap=0.5)
+
+
+class TestRealRoots:
+    @staticmethod
+    def numpy_real_roots(a, b, c):
+        roots = np.roots([a, b, c])
+        return np.sort(roots[roots.imag == 0.0].real)
+
+    def test_matches_numpy_on_random_triples(self):
+        rng = np.random.default_rng(17)
+        for _ in range(1000):
+            a, b, c = rng.normal(size=3) * 10.0 ** rng.uniform(-3, 3, size=3)
+            got = np.sort(wirecoupling.channel._real_roots(a, b, c))
+            expected = self.numpy_real_roots(a, b, c)
+            assert got.shape == expected.shape
+            assert np.allclose(got, expected, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("coeffs", [
+        (0.0, 2.0, -3.0),   # a = 0: one linear root
+        (0.0, 0.0, 5.0),    # a = b = 0: no root
+        (4.0, 0.0, 0.0),    # b = c = 0: double root at 0
+        (1.0, 1.0, 1.0),    # negative discriminant: no real root
+        (2.0, -3.0, 0.0),   # c = 0: roots 0 and -b/a
+    ])
+    def test_special_cases_match_numpy(self, coeffs):
+        got = np.sort(wirecoupling.channel._real_roots(*coeffs))
+        assert np.array_equal(got, self.numpy_real_roots(*coeffs))

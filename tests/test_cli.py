@@ -181,6 +181,9 @@ class TestChannelCommand:
         trace = payload["objective_trace"]
         assert payload["iterations"] == len(trace) - 1
         assert all(b >= a for a, b in zip(trace, trace[1:]))
+        # converged exactly when the last sweep moved nothing
+        assert payload["stop_reason"] == (
+            "converged" if trace[-1] == trace[-2] else "budget")
         # the optimized channel must not fall below the direct link only
         # by accident of the initial state: trace starts at init
         assert trace[-1] >= trace[0]

@@ -89,7 +89,7 @@ class TestParse:
     def test_fixed_entries_broadcast(self):
         cfg = parse_scene_config(grid_config())
         assert cfg.tuning is not None
-        assert cfg.tuning.n_elements == 16
+        assert cfg.tuning.entries.shape[0] == 16
         assert np.all(cfg.tuning.entries == -100.0j)
 
     def test_entry_count_must_fit_surface(self):
@@ -260,7 +260,7 @@ class TestTuningForScene:
         cfg = parse_scene_config(grid_config())
         scene = resolve_sweep_scene(cfg, "spacing", 0.25 * LAM)
         tuning = tuning_for_scene(cfg, scene)
-        assert tuning.n_elements == scene.n_elements == 4
+        assert tuning.entries.shape[0] == scene.n_elements == 4
         assert np.all(tuning.entries == -100.0j)
 
     def test_full_vector_only_fits_matching_scene(self):

@@ -46,8 +46,11 @@ def wire_kernel(xi_p, s0, geom, k) -> complex:
     # the observer-wire integral of the closed form: two segment halves
     # joined at z = 0, the lower one with the sign -s0
     z0 = xi_p - geom.dz
-    return (segment_kernel_integral(-s0, geom.rho, z0, -geom.h_q, 0.0, k)
-            + segment_kernel_integral(s0, geom.rho, z0, 0.0, geom.h_q, k))
+    lower = segment_kernel_integral(np.array([-s0]), geom.rho, z0, -geom.h_q,
+                                    0.0, k)
+    upper = segment_kernel_integral(np.array([s0]), geom.rho, z0, 0.0,
+                                    geom.h_q, k)
+    return lower[0] + upper[0]
 
 
 def field_kernel(z, geom, k) -> complex:
@@ -131,11 +134,13 @@ def mpmath_mutual_impedance(geom, k, dps=30) -> complex:
 
 class TestSegmentIntegral:
     def test_empty_interval_is_zero(self):
-        assert segment_kernel_integral(1, 0.5, 0.1, 0.3, 0.3, K) == 0.0
+        value = segment_kernel_integral(np.array([1]), 0.5, 0.1, 0.3, 0.3, K)
+        assert value[0] == 0.0
 
     def test_against_defining_integral(self):
         # half-wavelength offset wire segment, quarter wave each side
-        value = segment_kernel_integral(1, 0.5 * LAM, 0.0, -LAM / 4, LAM / 4, K)
+        value = segment_kernel_integral(np.array([1]), 0.5 * LAM, 0.0, -LAM / 4,
+                                        LAM / 4, K)[0]
         reference = segment_defining_integral(1, 0.5 * LAM, 0.0, -LAM / 4, LAM / 4, K)
         assert abs(value - reference) <= 1e-9 * abs(reference)
 
@@ -146,7 +151,8 @@ class TestSegmentIntegral:
             d0 = rng.uniform(LAM / 20, 5 * LAM)
             z0 = rng.uniform(-2 * LAM, 2 * LAM)
             lo, hi = np.sort(rng.uniform(-LAM / 2, LAM / 2, size=2))
-            value = segment_kernel_integral(s0, d0, z0, float(lo), float(hi), K)
+            value = segment_kernel_integral(np.array([s0]), d0, z0, float(lo),
+                                            float(hi), K)[0]
             reference = segment_defining_integral(s0, d0, z0, float(lo), float(hi), K)
             assert abs(value - reference) <= 1e-9 * max(abs(reference), 1e-9)
 
@@ -159,17 +165,19 @@ class TestSegmentIntegral:
             d0 = rng.uniform(LAM / 20, 2 * LAM)
             z0 = rng.uniform(-LAM, LAM)
             lo, hi = np.sort(rng.uniform(-LAM / 2, LAM / 2, size=2))
-            fwd = segment_kernel_integral(s0, d0, z0, float(lo), float(hi), K)
-            rev = segment_kernel_integral(-s0, d0, -z0, float(-hi), float(-lo), K)
+            fwd = segment_kernel_integral(np.array([s0]), d0, z0, float(lo),
+                                          float(hi), K)[0]
+            rev = segment_kernel_integral(np.array([-s0]), d0, -z0, float(-hi),
+                                          float(-lo), K)[0]
             assert abs(fwd - rev) <= 1e-12 * max(abs(fwd), 1e-12)
 
     def test_source_point_on_axis_raises(self):
         # d0 = 0 with the source point inside the segment: the integrand
         # 1/|t| is not integrable there
         with pytest.raises(DegenerateGeometry):
-            segment_kernel_integral(1, 0.0, 0.0, -0.1, 0.1, K)
+            segment_kernel_integral(np.array([1]), 0.0, 0.0, -0.1, 0.1, K)
         with pytest.raises(DegenerateGeometry):
-            segment_kernel_integral(-1, 0.0, 0.05, -0.1, 0.1, K)
+            segment_kernel_integral(np.array([-1]), 0.0, 0.05, -0.1, 0.1, K)
 
     @pytest.mark.parametrize("s0", [1, -1])
     @pytest.mark.parametrize("d0", [0.0, 1e-300, 1e-12 * LAM],
@@ -180,20 +188,21 @@ class TestSegmentIntegral:
         for z0, lo, hi in ((0.6 * LAM, -0.25 * LAM, 0.0),
                            (-0.3 * LAM, 0.0, 0.25 * LAM),
                            (2.1 * LAM, 0.4 * LAM, 0.45 * LAM)):
-            value = segment_kernel_integral(s0, d0, z0, lo, hi, K)
+            value = segment_kernel_integral(np.array([s0]), d0, z0, lo, hi,
+                                            K)[0]
             reference = segment_defining_integral(s0, d0, z0, lo, hi, K)
             assert abs(value - reference) <= 1e-9 * abs(reference)
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
-            segment_kernel_integral(2, 0.5, 0.0, -0.1, 0.1, K)
+            segment_kernel_integral(np.array([2]), 0.5, 0.0, -0.1, 0.1, K)
         with pytest.raises(DomainError):
-            segment_kernel_integral(1, 0.5, 0.0, 0.2, -0.2, K)
+            segment_kernel_integral(np.array([1]), 0.5, 0.0, 0.2, -0.2, K)
         with pytest.raises(DomainError):
-            segment_kernel_integral(1, 0.5, 0.0, -0.1, 0.1, 0.0)
+            segment_kernel_integral(np.array([1]), 0.5, 0.0, -0.1, 0.1, 0.0)
         for d0 in (-1e-3, math.nan):
             with pytest.raises(DomainError):
-                segment_kernel_integral(1, d0, 0.0, -0.1, 0.1, K)
+                segment_kernel_integral(np.array([1]), d0, 0.0, -0.1, 0.1, K)
 
 
 class TestWireKernel:
@@ -564,9 +573,9 @@ class TestArrayKernel:
         values = segment_kernel_integral(*columns, K)
         assert values.shape == (len(args),)
         for value, row in zip(values, args):
-            scalar = segment_kernel_integral(*row, K)
-            assert isinstance(scalar, complex)
-            assert value == scalar
+            single = segment_kernel_integral(*(np.array([v]) for v in row), K)
+            assert single.shape == (1,)
+            assert value == single[0]
 
     @pytest.mark.parametrize("bad, error", [
         ((2, 0.5, 0.0, -0.1, 0.1), DomainError),
