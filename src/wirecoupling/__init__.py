@@ -48,10 +48,8 @@ from .impedance import (
     ImpedanceSet,
     assemble_impedances,
     mutual_impedance,
-    mutual_impedance_oracle,
-    segment_kernel_integral,
 )
-from .special import adaptive_quad, exp_integral_e1
+from .special import exp_integral_e1
 
 __version__ = "0.1.0"
 
@@ -75,19 +73,16 @@ __all__ = [
     "SingularSystem",
     "TuningState",
     "WireCouplingError",
-    "adaptive_quad",
     "assemble_impedances",
     "build_grid",
     "end_to_end",
     "exp_integral_e1",
     "load_scene_config",
     "mutual_impedance",
-    "mutual_impedance_oracle",
     "optimize_tuning",
     "pair_geometry",
     "parse_scene_config",
     "resolve_sweep_scene",
-    "segment_kernel_integral",
     "tuning_for_scene",
     "wavelength",
     "wavenumber",

@@ -208,6 +208,8 @@ def _validate_draws(scene, rng, samples: int):
 def _cmd_validate(cfg: SceneConfig, args) -> int:
     if args.samples < 1:
         raise ConfigError("validate --samples must be at least 1")
+    if not 0.0 < args.oracle_tol < math.inf:
+        raise ConfigError("validate --oracle-tol must be finite and positive")
     out = _out_dir(cfg, args)
     k = cfg.scene.wavenumber
     rng = np.random.default_rng(args.seed)

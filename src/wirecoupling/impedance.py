@@ -3,12 +3,13 @@
 Each wire carries the classical sinusoidal current shape
 sin(k*(h - |z|)) / sin(k*h), normalized to unit feed current. The mutual
 impedance between two wires is the field of one integrated against the
-current of the other. That coupling integral reduces to combinations of
-the complex exponential integral for every admissible pair, collinear
-ones included. This module provides that closed form as one kernel over
-arrays of wire pairs, the assembly of a scene's full coupling set from
-it in one batched call, and an adaptive-quadrature oracle of the
-defining integral that only tests and validation call.
+current of the other. In closed form (Gradoni & Di Renzo, IEEE WCL
+2021) that coupling needs the complex exponential integral at 18
+arguments per pair, collinear pairs included. This module provides that
+closed form as one kernel over arrays of wire pairs, the assembly of a
+scene's full coupling set from it in one batched call, and an
+adaptive-quadrature oracle of the defining integral that only tests and
+validation call.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ FREE_SPACE_IMPEDANCE = 376.730313668  # [ohm]
 # Guard for the 1/sin(k*h) current normalization near h = m*lambda/2.
 SIN_MIN = 1e-6
 
-# Wire pairs per kernel call. Each pair has 12 segments and 24 E1
-# arguments, so every temporary of a chunk stays near 25k elements
-# however large the scene; larger chunks ran no faster at N = 64 to 1024.
+# Wire pairs per kernel call. Each pair has 18 E1 arguments, so every
+# temporary of a chunk stays near 18k elements however large the scene;
+# larger chunks ran no faster at N = 64 to 1024.
 PAIR_CHUNK = 1024
 
 
@@ -49,78 +50,6 @@ def _sin_or_raise(h, k: float, role: str):
             f"{abs(_first(s, bad)):.2e}); change the length or the frequency"
         )
     return s
-
-
-def segment_kernel_integral(s0, d0, z0, z_lo, z_hi, k: float):
-    """Integral of exp(-j*k*(R + s0*t))/R over t in [z_lo, z_hi].
-
-    R = sqrt(d0^2 + (t - z0)^2) is the distance from a point offset z0
-    along a parallel axis at transverse distance d0 >= 0. In closed form
-    this is s0 * exp(-j*k*s0*z0) * (E1(j*k*L0) - E1(j*k*U0)) where
-    L0 = sqrt(d0^2 + (z_lo - z0)^2) + s0*(z_lo - z0) and U0 is the same
-    radical at z_hi. When s0*t and the radical nearly cancel, L0 is
-    rewritten as d0^2 / (sqrt(d0^2 + t^2) - s0*t) to avoid losing all
-    significant digits.
-
-    Every argument but k is an array, and they broadcast: the result is a
-    complex array of the broadcast shape, and all its E1 values come from
-    one exp_integral_e1 call.
-
-    On-axis limit: with the segment behind the source point (s0*(t - z0)
-    < 0 throughout) and d0 <= 1e-8 * min|t - z0|, the phase is constant
-    and the integrand 1/|t - z0| to double precision, so the result is
-    exp(-j*k*s0*z0) * |ln((z_hi - z0) / (z_lo - z0))|. Collinear pairs
-    (d0 = 0) with disjoint spans take this path.
-
-    Raises DegenerateGeometry when, for some segment, d0*d0 underflows
-    and, outside that limit, the segment reaches s0*(t - z0) <= 0 (it
-    passes through its source point, a singularity); DomainError for a
-    negative or NaN d0, an invalid sign, a reversed interval or k <= 0.
-    An empty interval (z_lo == z_hi) integrates to zero.
-    """
-    s0, d0, z0, z_lo, z_hi = np.broadcast_arrays(s0, d0, z0, z_lo, z_hi)
-    bad = (s0 != 1) & (s0 != -1)
-    if np.any(bad):
-        raise DomainError("segment_kernel_integral: s0 must be +1 or -1, "
-                          f"got {_first(s0, bad)!r}")
-    if not k > 0:
-        raise DomainError("segment_kernel_integral: k must be positive")
-    bad = ~(d0 >= 0.0)
-    if np.any(bad):
-        raise DomainError("segment_kernel_integral: d0 must be >= 0, "
-                          f"got {_first(d0, bad)!r}")
-    if np.any(z_hi < z_lo):
-        raise DomainError("segment_kernel_integral: requires z_lo <= z_hi")
-
-    t = np.stack([z_lo - z0, z_hi - z0])
-    behind = s0 * t < 0.0
-    empty = z_lo == z_hi
-    # Behind the source point with (d0/t)^2 <= 1e-16: R = |t| and
-    # R + s0*t = d0^2/(R - s0*t) <= 1e-16*|t|/2, both to double precision.
-    on_axis = ~empty & behind.all(axis=0) & (d0 <= 1e-8 * np.abs(t).min(axis=0))
-    degenerate = (~(empty | on_axis) & (d0 * d0 < sys.float_info.min)
-                  & ~(s0 * t > 0.0).all(axis=0))
-    if np.any(degenerate):
-        raise DegenerateGeometry(
-            f"segment [{_first(z_lo, degenerate):.6g}, "
-            f"{_first(z_hi, degenerate):.6g}] m passes through its source "
-            f"point at {_first(z0, degenerate):.6g} m on the axis: the "
-            "kernel integral is singular"
-        )
-
-    # Segments that need no E1 get the harmless argument t = 1 at both
-    # ends, so an empty one takes the exact difference 0 below.
-    skip = empty | on_axis
-    t_e1 = np.where(skip, 1.0, t)
-    r_plus = np.hypot(d0, t_e1) + np.abs(t_e1)
-    radical = np.where(behind & ~skip, d0 * d0 / r_plus, r_plus)
-    e1 = exp_integral_e1(1j * (k * radical))
-    phase = np.exp(-1j * k * s0 * z0)
-    log_ratio = np.log(np.divide(t[1], t[0], out=np.ones(t.shape[1:]),
-                                 where=on_axis))
-    value = np.where(on_axis, phase * np.abs(log_ratio),
-                     s0 * phase * (e1[0] - e1[1]))
-    return value
 
 
 def _field_terms(z, rho: float, dz: float, h_p: float, k: float):
@@ -149,21 +78,53 @@ def _field_terms(z, rho: float, dz: float, h_p: float, k: float):
 
 def _closed_form(rho, dz, h_p, h_q, k: float) -> np.ndarray:
     """Coupling impedances of the pairs given as the equal-length 1-D
-    arrays of pair_geometry, in one segment_kernel_integral call."""
+    arrays of pair_geometry, with one exp_integral_e1 call on 18
+    arguments per pair; see mutual_impedance for the formula."""
     sin_p = _sin_or_raise(h_p, k, "source")
     sin_q = _sin_or_raise(h_q, k, "observer")
+    if not k > 0:
+        raise DomainError("mutual impedance: k must be positive")
     cos_p = np.cos(k * h_p)
-    # Segment axes: s0 in (+1, -1), source point xi_p in (+h_p, -h_p, 0),
-    # observer half in (lower, upper), pair. The phase s0*|z| gives the
-    # lower half the sign -s0.
-    s0 = np.array([1, -1]).reshape(2, 1, 1, 1)
-    sign = s0 * np.array([-1, 1]).reshape(2, 1)
+    # Point axes: sign s in (+1, -1), observer point z in (-h_q, 0, +h_q),
+    # source point xi in (+h_p, -h_p, 0) at z0 = xi - dz on the observer
+    # axis, pair. The lower and upper observer halves join the points
+    # (lo, hi) = (0, 1) and (1, 2); t = z - z0.
+    s = np.array([1, -1]).reshape(2, 1, 1, 1)
     zero = np.zeros_like(h_q)
-    z0 = np.stack([h_p, -h_p, zero])[:, None, :] - dz
-    seg = segment_kernel_integral(sign, rho, z0, np.stack([-h_q, zero]),
-                                  np.stack([zero, h_q]), k)
-    # The observer wire's integral from source point xi_p: both halves.
-    wire = seg[:, :, 0] + seg[:, :, 1]
+    z = np.stack([-h_q, zero, h_q])[:, None]
+    z0 = np.stack([h_p, -h_p, zero]) - dz
+    t = z - z0
+    r_plus = np.hypot(rho, t) + np.abs(t)
+    behind, ahead = s * t < 0.0, s * t > 0.0
+    lo, hi = slice(0, 2), slice(1, 3)
+    # A half behind its source point with (rho/t)^2 <= 1e-16 has R = |t|
+    # and R + s*t = rho^2/(R - s*t) <= 1e-16*|t|/2 to double precision:
+    # the phase is constant and the integral s*ln(r_plus(lo)/r_plus(hi)),
+    # the exact limit of the E1 difference. Collinear pairs take it.
+    on_axis = (behind[:, lo] & behind[:, hi]
+               & (rho <= 1e-8 * np.minimum(np.abs(t[lo]), np.abs(t[hi]))))
+    degenerate = (~on_axis & (rho * rho < sys.float_info.min)
+                  & ~(ahead[:, lo] & ahead[:, hi]))
+    if np.any(degenerate):
+        raise DegenerateGeometry(
+            f"segment [{_first(z[lo], degenerate):.6g}, "
+            f"{_first(z[hi], degenerate):.6g}] m passes through its source "
+            f"point at {_first(z0, degenerate):.6g} m on the axis: the "
+            "kernel integral is singular"
+        )
+
+    # R + s*t, with the near-cancelling radical rewritten where s*t < 0.
+    # Past the check above, a zero one belongs to on-axis halves only,
+    # which do not use its E1, so it gets the harmless argument 1.
+    radical = np.where(behind, rho * rho / r_plus, r_plus)
+    e1 = exp_integral_e1(1j * (k * np.where(radical > 0.0, radical, 1.0)))
+    diff = np.where(on_axis, np.log(r_plus[lo] / r_plus[hi]),
+                    e1[:, lo] - e1[:, hi])
+    phase = np.exp(-1j * k * z0)
+    seg = s * np.stack([phase, phase.conj()])[:, None] * diff
+    # The observer-wire integral I(xi) for s0 = +1, -1: the phase s0*|z|
+    # gives the lower half the sign -s0 and the upper half s0.
+    wire = seg[::-1, 0] + seg[:, 1]
     inner = wire[:, 0] + wire[:, 1] - 2.0 * cos_p * wire[:, 2]
     total = (np.exp(1j * k * h_q) * inner[0]
              - np.exp(-1j * k * h_q) * inner[1])
@@ -188,25 +149,33 @@ def mutual_impedance(
     feed current. The self term (same=True, with the same wire in both
     slots) observes the wire on its own surface, one radius off the axis.
 
-    The result combines six observer-wire integrals I(xi_p) of
-    exp(-j*k*(R + s0*|z|))/R over z in [-h_q, +h_q], R measured from the
-    source point xi_p, each the sum of two segment_kernel_integral
-    halves joined at z = 0:
+    Each of the three source points xi_p in (+h_p, -h_p, 0) launches a
+    spherical wave; I(xi_p) is the integral of exp(-j*k*(R + s0*|z|))/R
+    over the observer wire z in [-h_q, +h_q], R measured from xi_p:
 
         z = eta / (8*pi*sin(k*h_p)*sin(k*h_q))
             * sum over s0 in {+1, -1} of
               s0 * exp(j*s0*k*h_q) * (I(+h_p) + I(-h_p)
                                       - 2*cos(k*h_p) * I(0))
 
-    The same expression covers every admissible pair, collinear ones
-    through the on-axis limit of segment_kernel_integral; no pair is
+    With z0 = xi_p - dz and t = z - z0, each observer half with phase
+    sign s in (+1, -1) integrates to
+    s * exp(-j*k*s*z0) * (E1(j*k*(R + s*t)) at its lower end minus the
+    same at its upper end). That needs E1 at the observer's two ends and
+    centre, seen from each source point with each sign: 18 arguments,
+    and 3 phases up to conjugation. Where s*t < 0, R + s*t is computed
+    as rho^2 / (R + |t|) so no digits cancel. A half that lies behind
+    its source point on the axis, rho <= 1e-8*|t| at both ends, takes
+    the exact on-axis limit s * exp(-j*k*s*z0) * ln(r(lo) / r(hi)),
+    r = R + |t|; collinear pairs go through it, and no pair is
     integrated numerically. This is a one-pair call of the kernel that
     assemble_impedances runs over all pairs of a scene, and it returns
     bit for bit the value the assembly gives that pair.
 
     Raises ResonantLength when either wire length defeats the sinusoidal
-    current normalization, and DegenerateGeometry for collinear wires
-    whose spans touch or overlap, which Scene already rejects.
+    current normalization (k = 0 included), DomainError for k < 0 or
+    NaN, and DegenerateGeometry for collinear wires whose spans touch or
+    overlap, which Scene already rejects.
     """
     return complex(_closed_form(*_one_pair(source, observer, same), k)[0])
 

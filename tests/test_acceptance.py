@@ -16,19 +16,19 @@ from wirecoupling import (
     Dipole,
     Scene,
     TuningState,
-    adaptive_quad,
     assemble_impedances,
     build_grid,
     end_to_end,
     exp_integral_e1,
     mutual_impedance,
-    mutual_impedance_oracle,
     optimize_tuning,
     wavelength,
     wavenumber,
 )
 from wirecoupling.cli import main
 from wirecoupling import impedance
+from wirecoupling.impedance import mutual_impedance_oracle
+from wirecoupling.special import adaptive_quad
 
 FREQ = 3.0e8  # [Hz]
 LAM = wavelength(FREQ)

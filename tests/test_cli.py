@@ -354,6 +354,15 @@ class TestValidateCommand:
                      "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_bad_oracle_tolerance_exits_1_before_any_output(self, tmp_path,
+                                                            tol):
+        cfg_path = write_config(tmp_path, elements_config(n=1))
+        out = tmp_path / "o"
+        assert main(["validate", cfg_path, "--oracle-tol", tol,
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_single_sample(self, tmp_path):
         cfg_path = write_config(tmp_path, elements_config(n=1))
         assert main(["validate", cfg_path, "--samples", "1",

@@ -18,17 +18,16 @@ from wirecoupling import (
     ImpedanceSet,
     ResonantLength,
     Scene,
-    adaptive_quad,
     assemble_impedances,
     build_grid,
     mutual_impedance,
-    mutual_impedance_oracle,
     pair_geometry,
-    segment_kernel_integral,
     wavelength,
     wavenumber,
 )
 from wirecoupling import impedance
+from wirecoupling.impedance import mutual_impedance_oracle
+from wirecoupling.special import adaptive_quad
 
 # Per-pair scalar closed-form values of three scenes, taken before the
 # kernel became array-native; the file names the commit.
@@ -42,39 +41,10 @@ K = wavenumber(FREQ)
 Pair = namedtuple("Pair", "rho dz h_p h_q")
 
 
-def wire_kernel(xi_p, s0, geom, k) -> complex:
-    # the observer-wire integral of the closed form: two segment halves
-    # joined at z = 0, the lower one with the sign -s0
-    z0 = xi_p - geom.dz
-    lower = segment_kernel_integral(np.array([-s0]), geom.rho, z0, -geom.h_q,
-                                    0.0, k)
-    upper = segment_kernel_integral(np.array([s0]), geom.rho, z0, 0.0,
-                                    geom.h_q, k)
-    return lower[0] + upper[0]
-
-
 def field_kernel(z, geom, k) -> complex:
     # the field the oracle integrates against the observer current
     return k / math.sin(k * geom.h_p) * impedance._field_terms(
         z, geom.rho, geom.dz, geom.h_p, k)
-
-
-def segment_defining_integral(s0, d0, z0, z_lo, z_hi, k, tol=1e-12) -> complex:
-    # direct quadrature of exp(-j*k*(R + s0*zeta))/R over the segment
-    def f(zeta):
-        r = np.hypot(d0, zeta - z0)
-        return np.exp(-1j * k * (r + s0 * zeta)) / r
-
-    return adaptive_quad(f, z_lo, z_hi, tol)
-
-
-def wire_defining_integral(xi_p, s0, geom, k, tol=1e-12) -> complex:
-    # two-piece phase exp(-j*k*(R + s0*|z|))/R across the observer wire
-    def f(z):
-        r = np.hypot(geom.rho, geom.dz + z - xi_p)
-        return np.exp(-1j * k * (r + s0 * np.abs(z))) / r
-
-    return adaptive_quad(f, -geom.h_q, geom.h_q, tol)
 
 
 def current_weighted_potential(z, geom, k, tol=1e-12) -> complex:
@@ -132,101 +102,35 @@ def mpmath_mutual_impedance(geom, k, dps=30) -> complex:
         return complex(scale * total / (mpmath.sin(k * h_p) * mpmath.sin(k * h_q)))
 
 
-class TestSegmentIntegral:
-    def test_empty_interval_is_zero(self):
-        value = segment_kernel_integral(np.array([1]), 0.5, 0.1, 0.3, 0.3, K)
-        assert value[0] == 0.0
-
-    def test_against_defining_integral(self):
-        # half-wavelength offset wire segment, quarter wave each side
-        value = segment_kernel_integral(np.array([1]), 0.5 * LAM, 0.0, -LAM / 4,
-                                        LAM / 4, K)[0]
-        reference = segment_defining_integral(1, 0.5 * LAM, 0.0, -LAM / 4, LAM / 4, K)
-        assert abs(value - reference) <= 1e-9 * abs(reference)
-
-    def test_random_draws_against_defining_integral(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            s0 = 1 if rng.uniform() < 0.5 else -1
-            d0 = rng.uniform(LAM / 20, 5 * LAM)
-            z0 = rng.uniform(-2 * LAM, 2 * LAM)
-            lo, hi = np.sort(rng.uniform(-LAM / 2, LAM / 2, size=2))
-            value = segment_kernel_integral(np.array([s0]), d0, z0, float(lo),
-                                            float(hi), K)[0]
-            reference = segment_defining_integral(s0, d0, z0, float(lo), float(hi), K)
-            assert abs(value - reference) <= 1e-9 * max(abs(reference), 1e-9)
-
-    def test_reflection_identity(self):
-        # substituting zeta -> -zeta in the defining integral flips the
-        # sign, the offset, and the interval simultaneously
-        rng = np.random.default_rng(23)
-        for _ in range(20):
-            s0 = 1 if rng.uniform() < 0.5 else -1
-            d0 = rng.uniform(LAM / 20, 2 * LAM)
-            z0 = rng.uniform(-LAM, LAM)
-            lo, hi = np.sort(rng.uniform(-LAM / 2, LAM / 2, size=2))
-            fwd = segment_kernel_integral(np.array([s0]), d0, z0, float(lo),
-                                          float(hi), K)[0]
-            rev = segment_kernel_integral(np.array([-s0]), d0, -z0, float(-hi),
-                                          float(-lo), K)[0]
-            assert abs(fwd - rev) <= 1e-12 * max(abs(fwd), 1e-12)
-
-    def test_source_point_on_axis_raises(self):
-        # d0 = 0 with the source point inside the segment: the integrand
-        # 1/|t| is not integrable there
-        with pytest.raises(DegenerateGeometry):
-            segment_kernel_integral(np.array([1]), 0.0, 0.0, -0.1, 0.1, K)
-        with pytest.raises(DegenerateGeometry):
-            segment_kernel_integral(np.array([-1]), 0.0, 0.05, -0.1, 0.1, K)
-
-    @pytest.mark.parametrize("s0", [1, -1])
-    @pytest.mark.parametrize("d0", [0.0, 1e-300, 1e-12 * LAM],
-                             ids=["0", "1e-300", "1e-12lam"])
-    def test_on_axis_against_defining_integral(self, s0, d0):
-        # each segment lies behind the source point for one sign of s0
-        # (on-axis limit) and ahead of it for the other (E1 form)
-        for z0, lo, hi in ((0.6 * LAM, -0.25 * LAM, 0.0),
-                           (-0.3 * LAM, 0.0, 0.25 * LAM),
-                           (2.1 * LAM, 0.4 * LAM, 0.45 * LAM)):
-            value = segment_kernel_integral(np.array([s0]), d0, z0, lo, hi,
-                                            K)[0]
-            reference = segment_defining_integral(s0, d0, z0, lo, hi, K)
-            assert abs(value - reference) <= 1e-9 * abs(reference)
-
-    def test_input_validation(self):
-        with pytest.raises(DomainError):
-            segment_kernel_integral(np.array([2]), 0.5, 0.0, -0.1, 0.1, K)
-        with pytest.raises(DomainError):
-            segment_kernel_integral(np.array([1]), 0.5, 0.0, 0.2, -0.2, K)
-        with pytest.raises(DomainError):
-            segment_kernel_integral(np.array([1]), 0.5, 0.0, -0.1, 0.1, 0.0)
-        for d0 in (-1e-3, math.nan):
-            with pytest.raises(DomainError):
-                segment_kernel_integral(np.array([1]), d0, 0.0, -0.1, 0.1, K)
-
-
 class TestWireKernel:
     def test_random_draws_against_defining_integral(self):
+        # pairs of the closed form's whole range against the quadrature
+        # oracle; mirroring the pair in z mirrors every observer-wire
+        # integral and leaves the coupling as it is
         rng = np.random.default_rng(29)
         for _ in range(50):
-            geom = Pair(
-                rho=float(rng.uniform(LAM / 20, 3 * LAM)),
-                dz=float(rng.uniform(-2 * LAM, 2 * LAM)),
-                h_p=float(rng.uniform(0.1 * LAM, 0.45 * LAM)),
-                h_q=float(rng.uniform(0.1 * LAM, 0.45 * LAM)),
-            )
-            xi_p = float(rng.choice([-geom.h_p, 0.0, geom.h_p]))
-            s0 = 1 if rng.uniform() < 0.5 else -1
-            value = wire_kernel(xi_p, s0, geom, K)
-            reference = wire_defining_integral(xi_p, s0, geom, K)
-            assert abs(value - reference) <= 1e-9 * abs(reference)
+            rho = float(rng.uniform(LAM / 20, 3 * LAM))
+            dz = float(rng.uniform(-2 * LAM, 2 * LAM))
+            h_p, h_q = (float(h) for h in rng.uniform(0.1 * LAM, 0.45 * LAM, 2))
+            p = Dipole((0.0, 0.0, 0.0), h_p, LAM / 2000)
+            q = Dipole((rho, 0.0, dz), h_q, LAM / 2000)
+            value = mutual_impedance(p, q, K)
+            reference = mutual_impedance_oracle(p, q, K, rel_tol=1e-12)
+            assert abs(value - reference) <= 1e-10 * abs(reference)
+            mirrored = mutual_impedance(p, Dipole((rho, 0.0, -dz), h_q,
+                                                  LAM / 2000), K)
+            assert abs(mirrored - value) <= 1e-12 * abs(value)
 
     def test_vanishing_observer_gives_vanishing_integral(self):
-        base = dict(rho=0.5 * LAM, dz=0.2 * LAM, h_p=0.25 * LAM)
-        small = wire_kernel(0.0, 1, Pair(h_q=1e-6, **base), K)
-        smaller = wire_kernel(0.0, 1, Pair(h_q=5e-7, **base), K)
-        assert abs(small) <= 1e-4
-        # interval length halves, integral halves
+        p = half_wave()
+
+        def observer(h_q):
+            return Dipole((0.5 * LAM, 0.0, 0.2 * LAM), h_q, h_q / 100)
+
+        small = mutual_impedance(p, observer(1e-6), K)
+        smaller = mutual_impedance(p, observer(5e-7), K)
+        assert abs(small) <= 1e-3
+        # the current integrates to h_q: halve the wire, halve the coupling
         assert abs(smaller) == pytest.approx(0.5 * abs(small), rel=1e-3)
 
 
@@ -338,9 +242,11 @@ class TestMutualImpedance:
         b = mutual_impedance(p2, q2, K)
         assert abs(a - b) <= 1e-10 * abs(a)
 
-    @pytest.mark.parametrize("rho", [0.0, 1e-15, 1e-9, 1e-6, 1e-5])
+    @pytest.mark.parametrize("rho", [0.0, 1e-300, 1e-15, 1e-9, 1e-6, 1e-5])
     def test_collinear_pair_closed_form(self, rho):
-        # coaxial and nearly coaxial wires with disjoint spans
+        # coaxial and nearly coaxial wires with disjoint spans: for each
+        # phase sign the observer lies behind the source points (on-axis
+        # limit below rho = 1e-8 of the distance) or ahead of them (E1)
         p = half_wave()
         q = half_wave(x=rho * LAM, z=0.8 * LAM)
         value = mutual_impedance(p, q, K)
@@ -366,6 +272,26 @@ class TestMutualImpedance:
             mutual_impedance(p, q, K)
         with pytest.raises(ResonantLength):
             mutual_impedance(q, p, K)
+        # every current normalization vanishes at k = 0
+        with pytest.raises(ResonantLength):
+            mutual_impedance(q, half_wave(x=2 * LAM), 0.0)
+
+    @pytest.mark.parametrize("z, half_length", [
+        (0.3 * LAM, LAM / 4), (LAM / 2, LAM / 4), (0.0, 0.2 * LAM),
+    ], ids=["overlap", "touch", "shared-centre"])
+    def test_collinear_wires_that_meet_raise(self, z, half_length):
+        # the observer passes through a source end or feed on its axis
+        p = half_wave()
+        q = Dipole((0.0, 0.0, z), half_length, LAM / 2000)
+        for a, b in ((p, q), (q, p)):
+            with pytest.raises(DegenerateGeometry, match="source point"):
+                mutual_impedance(a, b, K)
+
+    def test_bad_wavenumber_raises(self):
+        p, q = half_wave(), half_wave(x=LAM)
+        for k in (-K, math.nan):
+            with pytest.raises(DomainError):
+                mutual_impedance(p, q, k)
 
     def test_oracle_tolerance_is_honored(self):
         p = half_wave()
@@ -562,29 +488,20 @@ class TestArrayKernel:
         assert np.array_equal(chunked.z_st, whole.z_st)
         assert np.array_equal(chunked.z_rs, whole.z_rs)
 
-    def test_segment_array_call_matches_scalar_calls(self):
-        # E1 form, on-axis limit and empty interval in one call
-        args = [(1, 0.3 * LAM, 0.1 * LAM, -0.25 * LAM, 0.0),
-                (-1, 0.0, -0.3 * LAM, 0.0, 0.25 * LAM),
-                (1, 1e-12 * LAM, 0.6 * LAM, -0.25 * LAM, 0.0),
-                (-1, 0.05 * LAM, 0.2 * LAM, 0.1 * LAM, 0.1 * LAM),
-                (-1, 2.0 * LAM, -1.0 * LAM, -0.2 * LAM, 0.3 * LAM)]
-        columns = [np.array(c) for c in zip(*args)]
-        values = segment_kernel_integral(*columns, K)
-        assert values.shape == (len(args),)
-        for value, row in zip(values, args):
-            single = segment_kernel_integral(*(np.array([v]) for v in row), K)
-            assert single.shape == (1,)
-            assert value == single[0]
+    @pytest.mark.parametrize("plane", ["xy", "xz"])
+    def test_eighteen_e1_arguments_per_pair(self, monkeypatch, plane):
+        # E1 at the observer's ends and centre, from each source point
+        # with each phase sign; xz grids add collinear pairs
+        surface = build_grid(3, 3, spacing=LAM / 2, half_length=0.23 * LAM,
+                             radius=0.002 * LAM, plane=plane)
+        scene = Scene(half_wave(x=-4.0), half_wave(x=4.0), surface, FREQ)
+        seen, e1 = [], impedance.exp_integral_e1
 
-    @pytest.mark.parametrize("bad, error", [
-        ((2, 0.5, 0.0, -0.1, 0.1), DomainError),
-        ((1, math.nan, 0.0, -0.1, 0.1), DomainError),
-        ((1, 0.5, 0.0, 0.2, -0.2), DomainError),
-        ((1, 0.0, 0.0, -0.1, 0.1), DegenerateGeometry),
-    ])
-    def test_one_bad_segment_fails_the_array_call(self, bad, error):
-        good = (1, 0.5, 0.0, -0.1, 0.1)
-        columns = [np.array([g, b, g]) for g, b in zip(good, bad)]
-        with pytest.raises(error):
-            segment_kernel_integral(*columns, K)
+        def counting(c):
+            seen.append(np.size(c))
+            return e1(c)
+
+        monkeypatch.setattr(impedance, "exp_integral_e1", counting)
+        assemble_impedances(scene)
+        n = len(surface)
+        assert sum(seen) == 18 * (1 + 2 * n + n * (n + 1) // 2)

@@ -6,8 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from wirecoupling import ConvergenceError, DomainError, adaptive_quad, exp_integral_e1
-from wirecoupling.special import SICI_CROSSOVER
+from wirecoupling import ConvergenceError, DomainError, exp_integral_e1
+from wirecoupling.special import SICI_CROSSOVER, adaptive_quad
 
 
 def sine_integral(x: float) -> complex:
