@@ -10,7 +10,9 @@ adjusts per-element reactances to maximize |h|. Changing one load is a
 rank-1 update of the system, so each step moves a reactance straight to
 its exact maximizer over the bounds (a closed form from Sherman-Morrison)
 and updates the optimizer's inverse in O(N^2), under the same gates as
-the solve; one checked factorization per sweep bounds the drift.
+the solve; one checked factorization per sweep bounds the drift. All
+matrix algebra runs on scipy's BLAS (LU, zgemv): numpy links a second
+OpenBLAS, and switching between the two thread pools costs milliseconds.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.blas import zgemv
 from scipy.linalg.lapack import zgecon
 
 from .errors import DomainError, SingularSystem
@@ -34,46 +37,26 @@ _RESIDUAL_REL_MAX = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class TuningState:
-    """Diagonal tuning impedances of the surface, in ohms.
-
-    With reactance_only set, every entry must be purely imaginary with
-    its reactance inside reactance_bounds; this is the physically passive
-    lossless regime and the one the optimizer works in. Clearing the flag
-    admits arbitrary complex entries without any realizability claim.
+    """Diagonal tuning impedances of the surface, one complex load per
+    element, in ohms: a non-empty, finite vector. No realizability claim
+    is made; optimize_tuning owns the search domain (real parts held
+    fixed, reactances within its reactance_bounds).
     """
 
     entries: np.ndarray
-    reactance_only: bool = True
-    reactance_bounds: tuple[float, float] = DEFAULT_REACTANCE_BOUNDS
 
     def __post_init__(self):
         entries = np.array(self.entries, dtype=complex)
         object.__setattr__(self, "entries", entries)
-        bounds = (float(self.reactance_bounds[0]), float(self.reactance_bounds[1]))
-        object.__setattr__(self, "reactance_bounds", bounds)
         if entries.ndim != 1 or entries.shape[0] < 1:
             raise DomainError("tuning entries must form a non-empty vector")
         if not np.all(np.isfinite(entries)):
             raise DomainError("tuning entries must be finite")
-        lo, hi = bounds
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise DomainError("reactance bounds must satisfy lo < hi, finite")
-        if self.reactance_only:
-            if np.any(entries.real != 0.0):
-                raise DomainError(
-                    "reactance-only tuning forbids resistive (real) parts"
-                )
-            x = entries.imag
-            if np.any(x < lo) or np.any(x > hi):
-                raise DomainError(
-                    f"tuning reactances must lie within [{lo:g}, {hi:g}] ohm"
-                )
 
     @classmethod
-    def from_reactances(cls, x, reactance_bounds=DEFAULT_REACTANCE_BOUNDS):
-        """Purely reactive state from a vector of reactances in ohms."""
-        x = np.asarray(x, dtype=float)
-        return cls(1j * x, reactance_only=True, reactance_bounds=reactance_bounds)
+    def from_reactances(cls, x):
+        """Lossless state from a vector of reactances in ohms."""
+        return cls(1j * np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -126,11 +109,11 @@ def _solve(imps: ImpedanceSet, entries: np.ndarray, cond_cap: float):
     rhs = imps.z_st
     x = lu_solve((lu, piv), rhs)
     rhs_norm = np.linalg.norm(rhs)
-    residual = np.linalg.norm(system @ x - rhs)
+    residual = np.linalg.norm(zgemv(1.0, system, x) - rhs)
     if residual > _RESIDUAL_REL_MAX * rhs_norm:
         # One round of iterative refinement usually recovers the digits.
-        x = x + lu_solve((lu, piv), rhs - system @ x)
-        residual = np.linalg.norm(system @ x - rhs)
+        x = x + lu_solve((lu, piv), rhs - zgemv(1.0, system, x))
+        residual = np.linalg.norm(zgemv(1.0, system, x) - rhs)
         if residual > _RESIDUAL_REL_MAX * rhs_norm:
             raise SingularSystem(
                 f"solve residual {residual:.3e} stayed above "
@@ -232,7 +215,7 @@ def _inverse(imps: ImpedanceSet, solved):
     """(A^-1, x, y, h) of a _solve result, by one lu_solve against I."""
     lu_piv, x, h, _ = solved
     inv = lu_solve(lu_piv, np.eye(x.shape[0], dtype=complex))
-    return inv, x, inv @ imps.z_rs, h
+    return inv, x, zgemv(1.0, inv, imps.z_rs), h
 
 
 def _rank1(imps: ImpedanceSet, entries: np.ndarray, state, idx: int,
@@ -250,8 +233,7 @@ def _rank1(imps: ImpedanceSet, entries: np.ndarray, state, idx: int,
         inv = inv - col[:, None] * (coef * col)
         x, y = x - (coef * x[idx]) * col, y - (coef * y[idx]) * col
         cond = np.abs(system).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
-        # Row sums: a BLAS matvec would wake a thread pool every step.
-        residual = np.linalg.norm((system * x).sum(axis=1) - imps.z_st)
+        residual = np.linalg.norm(zgemv(1.0, system, x) - imps.z_st)
     ok = (math.isfinite(cond) and cond <= cond_cap and math.isfinite(abs(h))
           and residual <= _RESIDUAL_REL_MAX * np.linalg.norm(imps.z_st)
           and np.isfinite(y).all())
@@ -263,9 +245,12 @@ def optimize_tuning(
     init: TuningState,
     budget: int = 20,
     cond_cap: float = DEFAULT_CONDITION_CAP,
+    reactance_bounds: tuple[float, float] = DEFAULT_REACTANCE_BOUNDS,
 ) -> OptimizeResult:
-    """Maximize |h_e2e| over per-element reactances.
+    """Maximize |h_e2e| over per-element reactances in reactance_bounds.
 
+    The search domain is the start's real parts, held fixed (zero for a
+    lossless start, R for a lossy one), plus reactances in [lo, hi] ohm.
     Cyclic coordinate ascent: each sweep moves each reactance in turn to
     its exact maximizer over the bounds (see _coordinate_step). A move
     updates the optimizer's inverse (_rank1) under end_to_end's gates, or
@@ -275,16 +260,23 @@ def optimize_tuning(
     entry, the sweep is redone with a checked solve per proposal. The
     trace is non-decreasing. budget caps the sweeps; stop_reason is
     "converged" when the last sweep accepted no move (its trace entry
-    repeats the one before), "budget" otherwise.
+    repeats the one before), "budget" otherwise. The procedure is
+    deterministic.
 
-    Real parts of the entries are held fixed; with reactance_only set
-    they are all zero. The procedure is deterministic.
-
-    Raises DomainError for budget < 1, and SingularSystem when the
-    initial state does not solve (there is no system to step from).
+    Raises DomainError for budget < 1, for bounds that are not finite
+    with lo < hi, and for a start reactance outside them; SingularSystem
+    when the initial state does not solve (there is no system to step
+    from).
     """
     if not isinstance(budget, int) or budget < 1:
         raise DomainError("optimizer budget must be an integer >= 1")
+    lo, hi = float(reactance_bounds[0]), float(reactance_bounds[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise DomainError("reactance bounds must satisfy lo < hi, finite")
+    if np.any(init.entries.imag < lo) or np.any(init.entries.imag > hi):
+        raise DomainError(
+            f"tuning reactances must lie within [{lo:g}, {hi:g}] ohm"
+        )
 
     # One checked solve of the start: its factorization serves the first
     # sweep, and _channel raises the gain's DomainErrors up front.
@@ -297,7 +289,6 @@ def optimize_tuning(
             f"state is unsolvable ({exc})"
         )
     _channel(imps, solved)
-    lo, hi = init.reactance_bounds
     state, trace = _inverse(imps, solved), [abs(solved[2])]
     stop_reason = "budget"
 
@@ -332,8 +323,7 @@ def optimize_tuning(
             stop_reason = "converged"
             break
 
-    final_state = TuningState(entries, reactance_only=init.reactance_only,
-                              reactance_bounds=init.reactance_bounds)
+    final_state = TuningState(entries)
     return OptimizeResult(tuning=final_state,
                           channel=end_to_end(imps, final_state, cond_cap),
                           trace=tuple(trace), stop_reason=stop_reason)

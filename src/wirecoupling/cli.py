@@ -106,10 +106,9 @@ def _tuned_channel(cfg: SceneConfig, scene, command: str):
     if spec is not None:
         lo, hi = spec.reactance_bounds
         init = TuningState.from_reactances(
-            np.full(imps.n_elements, min(max(0.0, lo), hi)),
-            reactance_bounds=spec.reactance_bounds,
-        )
-        opt = optimize_tuning(imps, init, budget=spec.budget)
+            np.full(imps.n_elements, min(max(0.0, lo), hi)))
+        opt = optimize_tuning(imps, init, budget=spec.budget,
+                              reactance_bounds=spec.reactance_bounds)
         return opt.channel, opt
     return end_to_end(imps, tuning), None
 

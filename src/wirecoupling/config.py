@@ -43,7 +43,7 @@ from .geometry import Dipole, Scene, build_grid, wavelength
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Resolved (meters) grid parameters, kept around for sweeps."""
+    """Resolved (meters) build_grid arguments, kept around for sweeps."""
 
     rows: int
     cols: int
@@ -182,11 +182,7 @@ def _surface(value, path: str, scale: float):
     )
     if spec.plane not in ("xy", "xz"):
         _fail(f"{gpath}.plane", 'must be "xy" or "xz"')
-    elements = build_grid(
-        spec.rows, spec.cols, spec.spacing,
-        spec.half_length, spec.radius, spec.center, spec.plane,
-    )
-    return elements, spec
+    return build_grid(**dataclasses.asdict(spec)), spec
 
 
 def _tuning(value, path: str, n_elements: int):
@@ -213,8 +209,7 @@ def _tuning(value, path: str, n_elements: int):
         ]
         if len(entries) == 1:
             entries = entries * n_elements
-        tuning = TuningState(np.array(entries), reactance_only=False)
-        return tuning, None
+        return TuningState(np.array(entries)), None
 
     opath = f"{path}.optimize"
     o = _fields(value["optimize"], opath, ("reactance_bounds", "budget"))
@@ -339,8 +334,7 @@ def resolve_sweep_scene(cfg: SceneConfig, parameter: str, value: float) -> Scene
         aperture_rows = (g.rows - 1) * g.spacing
         cols = int(math.floor(aperture_cols / value + 1e-9)) + 1
         rows = int(math.floor(aperture_rows / value + 1e-9)) + 1
-        elements = build_grid(rows, cols, float(value), g.half_length,
-                              g.radius, g.center, g.plane)
+        g = dataclasses.replace(g, rows=rows, cols=cols, spacing=float(value))
     else:  # n_elements
         count = int(round(value))
         if abs(value - count) > 1e-9 or count < 1:
@@ -352,9 +346,9 @@ def resolve_sweep_scene(cfg: SceneConfig, parameter: str, value: float) -> Scene
                 f"sweep n_elements = {count} is not a multiple of the "
                 f"configured {g.rows} grid rows"
             )
-        elements = build_grid(g.rows, count // g.rows, g.spacing,
-                              g.half_length, g.radius, g.center, g.plane)
+        g = dataclasses.replace(g, cols=count // g.rows)
 
+    elements = build_grid(**dataclasses.asdict(g))
     return dataclasses.replace(cfg.scene, surface=elements)
 
 
@@ -371,7 +365,7 @@ def tuning_for_scene(cfg: SceneConfig, scene: Scene) -> TuningState | None:
     if entries.shape[0] == n:
         return cfg.tuning
     if np.all(entries == entries[0]):
-        return TuningState(np.full(n, entries[0]), reactance_only=False)
+        return TuningState(np.full(n, entries[0]))
     raise ConfigError(
         f"tuning.entries: {entries.shape[0]} fixed entries cannot apply to "
         f"a swept scene with {n} elements; use a single broadcast entry"

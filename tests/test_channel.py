@@ -20,6 +20,7 @@ from wirecoupling import (
     wavelength,
     wavenumber,
 )
+from wirecoupling.channel import DEFAULT_REACTANCE_BOUNDS
 
 FREQ = 3.0e8  # [Hz]
 LAM = wavelength(FREQ)
@@ -46,22 +47,12 @@ class TestTuningState:
     def test_from_reactances(self):
         t = TuningState.from_reactances([10.0, -20.0])
         assert np.array_equal(t.entries, np.array([10j, -20j]))
-        assert t.reactance_only
         assert t.entries.shape[0] == 2
 
-    def test_rejects_resistive_part_in_reactive_mode(self):
-        with pytest.raises(DomainError, match="resistive"):
-            TuningState(np.array([5.0 + 10j]))
-
-    def test_rejects_out_of_bounds_reactance(self):
-        with pytest.raises(DomainError, match="within"):
-            TuningState.from_reactances([3000.0])
-        with pytest.raises(DomainError, match="within"):
-            TuningState.from_reactances([-50.0], reactance_bounds=(0.0, 100.0))
-
-    def test_free_mode_admits_complex_entries(self):
-        t = TuningState(np.array([5.0 + 1e6j]), reactance_only=False)
-        assert t.entries[0] == 5.0 + 1e6j
+    def test_admits_complex_entries(self):
+        # Any finite load: the state makes no bound or loss claim.
+        t = TuningState(np.array([5.0 + 1e6j, -3.0 - 1e6j]))
+        assert np.array_equal(t.entries, np.array([5.0 + 1e6j, -3.0 - 1e6j]))
 
     def test_rejects_bad_shapes_and_values(self):
         with pytest.raises(DomainError):
@@ -71,7 +62,7 @@ class TestTuningState:
         with pytest.raises(DomainError):
             TuningState(np.array([np.nan + 0j]))
         with pytest.raises(DomainError):
-            TuningState(np.array([0j]), reactance_bounds=(5.0, 5.0))
+            TuningState(np.array([1j * np.inf]))
 
 
 class TestEndToEnd:
@@ -111,7 +102,7 @@ class TestEndToEnd:
     def test_open_circuit_recovers_direct_link(self):
         imps = two_element_imps()
         n = imps.n_elements
-        blocked = TuningState(np.full(n, 1e9j), reactance_only=False)
+        blocked = TuningState(np.full(n, 1e9j))
         result = end_to_end(imps, blocked)
         assert abs(result.h_e2e - imps.z_rt) <= 1e-6 * abs(imps.z_rt)
         assert abs(result.gain_db) <= 1e-5
@@ -121,7 +112,7 @@ class TestEndToEnd:
         n = imps.n_elements
         gains = []
         for magnitude in (1e6, 1e9, 1e12):
-            state = TuningState(np.full(n, 1j * magnitude), reactance_only=False)
+            state = TuningState(np.full(n, 1j * magnitude))
             gains.append(abs(end_to_end(imps, state).gain_db))
         assert gains[0] > gains[1] > gains[2]
 
@@ -232,9 +223,9 @@ class TestOptimizer:
         # bounds around the unconstrained peak, then above and below it
         for lo, hi in ((-2000.0, 2000.0), (peak + 50.0, peak + 800.0),
                        (peak - 800.0, peak - 50.0)):
-            init = TuningState.from_reactances([min(max(0.0, lo), hi)],
-                                               reactance_bounds=(lo, hi))
-            result = optimize_tuning(imps, init, budget=1)
+            init = TuningState.from_reactances([min(max(0.0, lo), hi)])
+            result = optimize_tuning(imps, init, budget=1,
+                                     reactance_bounds=(lo, hi))
             xs = np.linspace(lo, hi, 200_001)
             scan_best = float(np.max(scalar_gain_profile(imps, xs)))
             assert abs(result.channel.h_e2e) >= (1.0 - 1e-9) * scan_best
@@ -245,7 +236,7 @@ class TestOptimizer:
         imps = single_element_imps()
         init = TuningState.from_reactances([0.0])
         result = optimize_tuning(imps, init)
-        lo, hi = init.reactance_bounds
+        lo, hi = DEFAULT_REACTANCE_BOUNDS
         # 1 milliohm grid resolution over the full bounds
         xs = np.arange(lo, hi + 1e-3, 1e-3)
         grid_best = float(np.max(scalar_gain_profile(imps, xs)))
@@ -257,7 +248,7 @@ class TestOptimizer:
         init = TuningState.from_reactances([0.0, 0.0])
         result = optimize_tuning(imps, init)
 
-        lo, hi = init.reactance_bounds
+        lo, hi = DEFAULT_REACTANCE_BOUNDS
         x1, x2 = np.meshgrid(
             np.linspace(lo, hi, 201), np.linspace(lo, hi, 201), indexing="ij"
         )
@@ -293,9 +284,8 @@ class TestOptimizer:
 
     def test_bounds_are_respected(self):
         imps = two_element_imps()
-        init = TuningState.from_reactances([0.0, 0.0],
-                                           reactance_bounds=(-75.0, 75.0))
-        result = optimize_tuning(imps, init)
+        init = TuningState.from_reactances([0.0, 0.0])
+        result = optimize_tuning(imps, init, reactance_bounds=(-75.0, 75.0))
         x = result.tuning.entries.imag
         assert np.all(x >= -75.0) and np.all(x <= 75.0)
         assert np.all(result.tuning.entries.real == 0.0)
@@ -316,6 +306,33 @@ class TestOptimizer:
             optimize_tuning(imps, init, budget=0)
         with pytest.raises(DomainError):
             optimize_tuning(imps, init, budget=2.0)
+        with pytest.raises(DomainError, match="within"):
+            optimize_tuning(imps, TuningState.from_reactances([3000.0]))
+        with pytest.raises(DomainError, match="within"):
+            optimize_tuning(imps, TuningState.from_reactances([-50.0]),
+                            reactance_bounds=(0.0, 100.0))
+        # the bounds hold for a lossy start too, whatever its real part
+        with pytest.raises(DomainError, match="within"):
+            optimize_tuning(imps, TuningState(np.array([1.0 - 200.0j])),
+                            reactance_bounds=(-75.0, 75.0))
+        for bounds in ((5.0, 5.0), (100.0, -100.0), (-np.inf, 0.0),
+                       (0.0, np.nan)):
+            with pytest.raises(DomainError, match="lo < hi"):
+                optimize_tuning(imps, init, reactance_bounds=bounds)
+
+    def test_lossy_start_keeps_resistance_and_bounds(self):
+        # Real parts are held fixed bit for bit; reactances stay inside
+        # bounds that cut off the unconstrained optimum.
+        imps = grid_imps(2)
+        unbounded = optimize_tuning(imps, TuningState(np.full(4, 5.0 + 0j)))
+        lo = float(np.max(unbounded.tuning.entries.imag)) + 1.0
+        init = TuningState(np.array([5.0, 2.5, 0.5, 1e-3]) + 100j)
+        result = optimize_tuning(imps, init, budget=5,
+                                 reactance_bounds=(lo, 500.0))
+        assert np.array_equal(result.tuning.entries.real, init.entries.real)
+        x = result.tuning.entries.imag
+        assert np.all(x >= lo) and np.all(x <= 500.0) and np.any(x != 100.0)
+        assert abs(result.channel.h_e2e) >= abs(end_to_end(imps, init).h_e2e)
 
     def test_one_factorization_per_sweep(self, monkeypatch):
         # Steps update the maintained inverse, so a run factors the start,
@@ -331,6 +348,34 @@ class TestOptimizer:
         imps = grid_imps()
         result = optimize_tuning(imps, TuningState.from_reactances(np.zeros(16)))
         assert len(calls) <= (len(result.trace) - 1) + 2
+
+    def test_matrix_products_use_scipy_blas(self, monkeypatch):
+        # numpy and scipy link separate OpenBLAS builds, and switching
+        # between their thread pools costs milliseconds, so the solve and
+        # the optimizer's steps take every matvec from scipy's zgemv.
+        channel = wirecoupling.channel
+        calls = []
+        gemv = channel.zgemv
+
+        def counting_gemv(*args, **kwargs):
+            calls.append(1)
+            return gemv(*args, **kwargs)
+
+        monkeypatch.setattr(channel, "zgemv", counting_gemv)
+        imps = grid_imps()
+        init = TuningState.from_reactances(np.zeros(16))
+        solved = channel._solve(imps, init.entries, 1e12)
+        state = channel._inverse(imps, solved)
+        entries = init.entries.copy()
+        entries[5] = 150j
+        steps = (lambda: end_to_end(imps, init),
+                 lambda: optimize_tuning(imps, init, budget=1),
+                 lambda: channel._inverse(imps, solved),
+                 lambda: channel._rank1(imps, entries, state, 5, 150.0, 1e12))
+        for step in steps:
+            del calls[:]
+            assert step() is not None
+            assert len(calls) >= 1
 
     def test_budget_20_on_4x4_grid(self):
         imps = grid_imps()
