@@ -52,10 +52,11 @@ def _write_complex_csv(path: Path, values: np.ndarray):
     if values.ndim == 1:
         matrix = matrix.T  # vectors emit as a single column
     lines = ["row,col,re_ohm,im_ohm"]
-    for r in range(matrix.shape[0]):
-        for c in range(matrix.shape[1]):
-            v = complex(matrix[r, c])  # repr of builtin floats round-trips
-            lines.append(f"{r},{c},{v.real!r},{v.imag!r}")
+    # repr of builtin floats round-trips
+    for r, (re_row, im_row) in enumerate(zip(matrix.real.tolist(),
+                                             matrix.imag.tolist())):
+        lines.extend(f"{r},{c},{re!r},{im!r}"
+                     for c, (re, im) in enumerate(zip(re_row, im_row)))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -73,7 +74,7 @@ def _out_dir(cfg: SceneConfig, args) -> Path:
 
 def _cmd_impedance(cfg: SceneConfig, args) -> int:
     out = _out_dir(cfg, args)
-    imps = assemble_impedances(cfg.scene)
+    imps = assemble_impedances(cfg.scene)[0]
     _write_complex_csv(out / "z_ss.csv", imps.z_ss)
     _write_complex_csv(out / "z_rs.csv", imps.z_rs)
     _write_complex_csv(out / "z_st.csv", imps.z_st)
@@ -86,35 +87,36 @@ def _cmd_impedance(cfg: SceneConfig, args) -> int:
     return 0
 
 
-def _tuned_channel(cfg: SceneConfig, scene, command: str):
-    """Assemble one scene and evaluate its channel under the config's
-    tuning directive.
-
-    Returns (channel, optimize result or None). An optimize directive
-    starts from zero reactance clipped into its bounds; fixed entries are
-    sized to the scene by tuning_for_scene. A missing or ill-sized tuning
-    section raises ConfigError before the scene is assembled.
-    """
-    spec = cfg.optimize
-    tuning = None if spec is not None else tuning_for_scene(cfg, scene)
-    if spec is None and tuning is None:
+def _tuning(cfg: SceneConfig, scene, command: str):
+    """Fixed tuning sized to the scene by tuning_for_scene, or None under
+    an optimize directive; ConfigError, before assembly, if it is absent."""
+    tuning = None if cfg.optimize is not None else tuning_for_scene(cfg, scene)
+    if cfg.optimize is None and tuning is None:
         raise ConfigError(
             f"tuning: required by the {command} command (fixed entries or "
             f"an optimize directive)"
         )
-    imps = assemble_impedances(scene)
-    if spec is not None:
-        lo, hi = spec.reactance_bounds
-        init = TuningState.from_reactances(
-            np.full(imps.n_elements, min(max(0.0, lo), hi)))
-        opt = optimize_tuning(imps, init, budget=spec.budget,
-                              reactance_bounds=spec.reactance_bounds)
-        return opt.channel, opt
-    return end_to_end(imps, tuning), None
+    return tuning
+
+
+def _tuned_channel(cfg: SceneConfig, imps, tuning):
+    """(channel, optimize result or None) under the tuning directive; an
+    optimize directive starts from zero reactance clipped into its bounds."""
+    spec = cfg.optimize
+    if spec is None:
+        return end_to_end(imps, tuning), None
+    lo, hi = spec.reactance_bounds
+    init = TuningState.from_reactances(
+        np.full(imps.n_elements, min(max(0.0, lo), hi)))
+    opt = optimize_tuning(imps, init, budget=spec.budget,
+                          reactance_bounds=spec.reactance_bounds)
+    return opt.channel, opt
 
 
 def _cmd_channel(cfg: SceneConfig, args) -> int:
-    result, opt = _tuned_channel(cfg, cfg.scene, "channel")
+    tuning = _tuning(cfg, cfg.scene, "channel")
+    result, opt = _tuned_channel(cfg, assemble_impedances(cfg.scene)[0],
+                                 tuning)
     out = _out_dir(cfg, args)
     payload = {
         "h_e2e_re_ohm": result.h_e2e.real,
@@ -140,12 +142,6 @@ def _cmd_channel(cfg: SceneConfig, args) -> int:
     return 0
 
 
-def _sweep_row(cfg: SceneConfig, parameter: str, value: float):
-    """(n_elements, channel) of one sweep point."""
-    scene = resolve_sweep_scene(cfg, parameter, value)
-    return scene.n_elements, _tuned_channel(cfg, scene, "sweep")[0]
-
-
 def _cmd_sweep(cfg: SceneConfig, args) -> int:
     if args.points < 1:
         raise ConfigError("sweep --points must be at least 1")
@@ -153,26 +149,38 @@ def _cmd_sweep(cfg: SceneConfig, args) -> int:
         raise ConfigError(f"sweep --from and --to must be finite, with a "
                           f"finite span; got {args.start!r}, {args.stop!r}")
     out = _out_dir(cfg, args)
-    values = np.linspace(args.start, args.stop, args.points)
+    values = np.linspace(args.start, args.stop, args.points).tolist()
 
-    lines = ["index,parameter,value,n_elements,"
-             "h_e2e_re_ohm,h_e2e_im_ohm,h_e2e_abs_ohm,gain_db,status"]
-    failures = 0
+    # A row's status is the first error its own point raises: the points
+    # that resolve share one assembly call, and if it raises they are
+    # assembled one at a time.
+    cells = [None] * len(values)  # the columns after value, per point
+    points = []
     for i, value in enumerate(values):
-        value = float(value)
         try:
-            n_elements, result = _sweep_row(cfg, args.parameter, value)
+            scene = resolve_sweep_scene(cfg, args.parameter, value)
+            points.append((i, scene, _tuning(cfg, scene, "sweep")))
         except WireCouplingError as exc:
-            failures += 1
-            lines.append(
-                f"{i},{args.parameter},{value!r},,,,,,{type(exc).__name__}"
-            )
+            cells[i] = f",,,,,{type(exc).__name__}"
+    try:
+        batch = assemble_impedances(*(scene for _, scene, _ in points))
+    except WireCouplingError:
+        batch = None
+    for j, (i, scene, tuning) in enumerate(points):
+        try:
+            imps = batch[j] if batch else assemble_impedances(scene)[0]
+            result = _tuned_channel(cfg, imps, tuning)[0]
+        except WireCouplingError as exc:
+            cells[i] = f",,,,,{type(exc).__name__}"
             continue
         h = result.h_e2e
-        lines.append(
-            f"{i},{args.parameter},{value!r},{n_elements},"
-            f"{h.real!r},{h.imag!r},{abs(h)!r},{result.gain_db!r},ok"
-        )
+        cells[i] = (f"{scene.n_elements},{h.real!r},{h.imag!r},{abs(h)!r},"
+                    f"{result.gain_db!r},ok")
+    failures = sum(not c.endswith(",ok") for c in cells)
+    lines = ["index,parameter,value,n_elements,"
+             "h_e2e_re_ohm,h_e2e_im_ohm,h_e2e_abs_ohm,gain_db,status"]
+    lines += [f"{i},{args.parameter},{value!r},{c}"
+              for i, (value, c) in enumerate(zip(values, cells))]
     _write_text(out / "sweep.csv", "\n".join(lines) + "\n")
     print(
         f"sweep: {args.points} points over {args.parameter} in "

@@ -6,10 +6,10 @@ impedance between two wires is the field of one integrated against the
 current of the other. In closed form (Gradoni & Di Renzo, IEEE WCL
 2021) that coupling needs the complex exponential integral at 18
 arguments per pair, collinear pairs included. This module provides that
-closed form as one kernel over arrays of wire pairs, the assembly of a
-scene's full coupling set from it in one batched call, and an
-adaptive-quadrature oracle of the defining integral that only tests and
-validation call.
+closed form as one kernel over arrays of wire pairs, the assembly of
+the coupling sets of scenes from it with each distinct pair evaluated
+once, and an adaptive-quadrature oracle of the defining integral that
+only tests and validation call.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ def _first(values, mask):
     return np.broadcast_to(values, np.shape(mask))[mask][0].item()
 
 
-def _sin_or_raise(h, k: float, role: str):
+def _sin_or_raise(h, k, role: str):
     s = np.sin(k * np.asarray(h, dtype=float))
     bad = np.abs(s) <= SIN_MIN
     if np.any(bad):
@@ -76,13 +76,13 @@ def _field_terms(z, rho: float, dz: float, h_p: float, k: float):
     return acc
 
 
-def _closed_form(rho, dz, h_p, h_q, k: float) -> np.ndarray:
+def _closed_form(rho, dz, h_p, h_q, k) -> np.ndarray:
     """Coupling impedances of the pairs given as the equal-length 1-D
-    arrays of pair_geometry, with one exp_integral_e1 call on 18
-    arguments per pair; see mutual_impedance for the formula."""
+    arrays of pair_geometry and k (one per pair, or one for all), with one
+    exp_integral_e1 call on 18 arguments per pair; see mutual_impedance."""
     sin_p = _sin_or_raise(h_p, k, "source")
     sin_q = _sin_or_raise(h_q, k, "observer")
-    if not k > 0:
+    if not np.all(k > 0):
         raise DomainError("mutual impedance: k must be positive")
     cos_p = np.cos(k * h_p)
     # Point axes: sign s in (+1, -1), observer point z in (-h_q, 0, +h_q),
@@ -264,37 +264,59 @@ class ImpedanceSet:
         return self.z_rs.shape[0]
 
 
-def assemble_impedances(scene: Scene) -> ImpedanceSet:
-    """Compute every coupling impedance of a scene.
+def assemble_impedances(*scenes: Scene) -> list[ImpedanceSet]:
+    """Compute the coupling impedances of each scene, one ImpedanceSet each.
 
     Uses the closed form for every pair, collinear ones included; no
-    quadrature runs. z_rt is one mutual_impedance call; the 2N
-    transmitter/receiver pairs and the N(N+1)/2 pairs of the upper
-    triangle of z_ss go through the same kernel as one batch, evaluated
-    in chunks of PAIR_CHUNK pairs. The triangle is mirrored; reciprocity
-    of the underlying formula is covered by tests, so the mirror halves
-    the assembly cost without hiding anything.
+    quadrature runs. Per scene, z_rt is one mutual_impedance call. The
+    2N transmitter/receiver pairs and the N(N+1)/2 pairs of the upper
+    triangle of z_ss of every scene are pair_geometry rows with their k.
+    Unless too few rows repeat their rho to pay for it, each distinct
+    row, compared bit for bit, goes through the kernel once. Rows run in
+    first-occurrence order, grouped by the PAIR_CHUNK block of their
+    first occurrence, so an error names the pair that a chunked pass
+    over all pairs would meet first. The triangle is mirrored;
+    reciprocity of the underlying formula is covered by tests.
     """
-    k = scene.wavenumber
-    n = scene.n_elements
-    z_rt = mutual_impedance(scene.transmitter, scene.receiver, k)
-    wires = (scene.transmitter, scene.receiver) + scene.surface
-    element = np.arange(2, n + 2)
-    q, p = np.triu_indices(n)  # z_ss[q, p] couples source p to observer q
-    src = np.concatenate([np.zeros(n, int), element, p + 2])
-    obs = np.concatenate([element, np.ones(n, int), q + 2])
-    geometry = pair_geometry(wires, src, obs)
-    values = np.empty(src.size, dtype=complex)
-    for start in range(0, src.size, PAIR_CHUNK):
-        part = slice(start, start + PAIR_CHUNK)
-        values[part] = _closed_form(*(g[part] for g in geometry), k)
+    if not scenes:
+        return []
+    z_rt = [mutual_impedance(scene.transmitter, scene.receiver,
+                             scene.wavenumber) for scene in scenes]
+    tables = []
+    for scene in scenes:
+        n = scene.n_elements
+        wires = (scene.transmitter, scene.receiver) + scene.surface
+        element = np.arange(2, n + 2)
+        q, p = np.triu_indices(n)  # z_ss[q, p] couples source p to observer q
+        src = np.concatenate([np.zeros(n, int), element, p + 2])
+        obs = np.concatenate([element, np.ones(n, int), q + 2])
+        k = np.full(src.size, scene.wavenumber)
+        tables.append(np.column_stack([*pair_geometry(wires, src, obs), k]))
+    table = np.concatenate(tables)
+    # Keys save at most the rows whose rho repeats: under a quarter, the
+    # key sort would cost about what it saves, so every row is its own key.
+    if 4 * np.unique(table[:, 0]).size > 3 * table.shape[0]:
+        first = inverse = np.arange(table.shape[0])
+    else:
+        keys = table.view(np.dtype((np.void, table.itemsize * table.shape[1])))
+        _, first, inverse = np.unique(keys.ravel(), return_index=True,
+                                      return_inverse=True)
+    order = np.argsort(first)  # distinct rows in first-occurrence order
+    bounds = np.unique(np.searchsorted(
+        first[order], np.arange(0, table.shape[0] + PAIR_CHUNK, PAIR_CHUNK)))
+    distinct = np.empty(first.size, dtype=complex)
+    for lo, hi in zip(bounds, bounds[1:]):
+        rows = order[lo:hi]
+        distinct[rows] = _closed_form(*table[first[rows]].T.copy())
+    values = distinct[inverse]
 
-    z_ss = np.empty((n, n), dtype=complex)
-    z_ss[q, p] = values[2 * n:]
-    z_ss[p, q] = values[2 * n:]
-    return ImpedanceSet(
-        z_rt=z_rt,
-        z_rs=values[n:2 * n],
-        z_st=values[:n],
-        z_ss=z_ss,
-    )
+    sets = []
+    parts = np.split(values, np.cumsum([len(t) for t in tables])[:-1])
+    for scene, direct, part in zip(scenes, z_rt, parts):
+        n = scene.n_elements
+        q, p = np.triu_indices(n)
+        z_ss = np.empty((n, n), dtype=complex)
+        z_ss[q, p] = z_ss[p, q] = part[2 * n:]
+        sets.append(ImpedanceSet(z_rt=direct, z_rs=part[n:2 * n],
+                                 z_st=part[:n], z_ss=z_ss))
+    return sets

@@ -200,7 +200,7 @@ def test_criterion_6_channel_limits():
     # matrix path against the scalar elimination formula
     scene = Scene(quarter_wave(x=-2.0), quarter_wave(x=2.0),
                   (quarter_wave(),), FREQ)
-    imps = assemble_impedances(scene)
+    imps = assemble_impedances(scene)[0]
     tuning = TuningState.from_reactances([-42.0])
     result = end_to_end(imps, tuning)
     expected = imps.z_rt - imps.z_rs[0] * imps.z_st[0] / (
@@ -212,7 +212,7 @@ def test_criterion_6_channel_limits():
     surface = build_grid(4, 4, spacing=LAM / 8, half_length=LAM / 4,
                          radius=LAM / 2000)
     big = Scene(quarter_wave(y=-4.0), quarter_wave(y=4.0), surface, FREQ)
-    big_imps = assemble_impedances(big)
+    big_imps = assemble_impedances(big)[0]
     blocked = TuningState(np.full(16, 1e9j))
     open_result = end_to_end(big_imps, blocked)
     open_rel = abs(open_result.h_e2e - big_imps.z_rt) / abs(big_imps.z_rt)
@@ -231,7 +231,7 @@ def test_criterion_7_optimizer_vs_grid():
     # N = 1
     scene1 = Scene(quarter_wave(x=-2.0), quarter_wave(x=2.0),
                    (quarter_wave(),), FREQ)
-    imps1 = assemble_impedances(scene1)
+    imps1 = assemble_impedances(scene1)[0]
     init1 = TuningState.from_reactances([0.0])
     found1 = abs(optimize_tuning(imps1, init1).channel.h_e2e)
     lo, hi = DEFAULT_REACTANCE_BOUNDS
@@ -243,7 +243,7 @@ def test_criterion_7_optimizer_vs_grid():
     surface = build_grid(1, 2, spacing=LAM / 8, half_length=LAM / 4,
                          radius=LAM / 2000)
     scene2 = Scene(quarter_wave(y=-2.5), quarter_wave(y=2.5), surface, FREQ)
-    imps2 = assemble_impedances(scene2)
+    imps2 = assemble_impedances(scene2)[0]
     init2 = TuningState.from_reactances([0.0, 0.0])
     found2 = abs(optimize_tuning(imps2, init2).channel.h_e2e)
     x1, x2 = np.meshgrid(np.linspace(lo, hi, 201), np.linspace(lo, hi, 201),

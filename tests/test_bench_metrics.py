@@ -8,6 +8,8 @@ counter the package no longer feeds reads null instead. The result must
 also be the last line run.py prints, where a benchmark driver reads it.
 """
 
+import contextlib
+import io
 import json
 import math
 import sys
@@ -33,12 +35,42 @@ CALLED_BY = {
 }
 
 
+@pytest.fixture(scope="module")
+def bench_run(tmp_path_factory):
+    """(name, trace) -> (exit code, report, printed lines) of one
+    `run.main` call per tiny workload and mode, shared by both tests.
+    The report is what `run.run` returned, less the result that
+    `run.main` pops and prints as its last line."""
+    runs = {}
+
+    def get(name, trace):
+        if (name, trace) not in runs:
+            reports, real_run = [], run.run
+            printed = io.StringIO()
+
+            def keep_report(*args, **kwargs):
+                reports.append(real_run(*args, **kwargs))
+                return reports[-1]
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(run, "WORK", tmp_path_factory.mktemp("work") / "w")
+                mp.setattr(run.workloads, "make", lambda *_: TINY[name]())
+                mp.setattr(run, "run", keep_report)
+                mp.setattr(sys, "path", list(sys.path))  # main prepends src/
+                with contextlib.redirect_stdout(printed):
+                    code = run.main(["--workload", name, "--seconds", "0",
+                                     "--trace", str(int(trace))])
+            runs[name, trace] = code, reports[0], printed.getvalue().splitlines()
+        return runs[name, trace]
+
+    return get
+
+
 @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
 @pytest.mark.parametrize("name", sorted(TINY))
-def test_every_metric_is_a_number(name, trace, tmp_path, monkeypatch):
-    monkeypatch.setattr(run, "WORK", tmp_path / "work")
-    report = run.run(TINY[name](), seed=0, seconds=0.0, trace=trace)
-    result = report["result"]
+def test_every_metric_is_a_number(name, trace, bench_run):
+    _, report, lines = bench_run(name, trace)
+    result = json.loads(lines[-1])
     assert result["correct"] and result["failed"] == 0, report["failures"]
     metrics = {k: m["value"] for k, m in result["metrics"].items()}
     units = run.PER_LAYER_UNITS if trace else run.END_TO_END_UNITS
@@ -54,14 +86,10 @@ def test_every_metric_is_a_number(name, trace, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("trace", [0, 1], ids=["untraced", "traced"])
 @pytest.mark.parametrize("name", sorted(TINY))
-def test_last_printed_line_is_the_result(name, trace, tmp_path, monkeypatch,
-                                         capsys):
-    monkeypatch.setattr(run, "WORK", tmp_path / "work")
-    monkeypatch.setattr(run.workloads, "make", lambda *_: TINY[name]())
-    monkeypatch.setattr(sys, "path", list(sys.path))  # main prepends src/
-    assert run.main(["--workload", name, "--seconds", "0",
-                     "--trace", str(trace)]) == 0
-    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+def test_last_printed_line_is_the_result(name, trace, bench_run):
+    code, _, lines = bench_run(name, bool(trace))
+    assert code == 0
+    result = json.loads(lines[-1])
     assert result["correct"] is True and result["failed"] == 0
     units = run.PER_LAYER_UNITS if trace else run.END_TO_END_UNITS
     assert set(result["metrics"]) == set(units)

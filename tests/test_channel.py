@@ -33,14 +33,14 @@ def half_wave(x=0.0, y=0.0, z=0.0) -> Dipole:
 
 def single_element_imps() -> ImpedanceSet:
     scene = Scene(half_wave(x=-2.0), half_wave(x=2.0), (half_wave(),), FREQ)
-    return assemble_impedances(scene)
+    return assemble_impedances(scene)[0]
 
 
 def two_element_imps() -> ImpedanceSet:
     surface = build_grid(1, 2, spacing=LAM / 8, half_length=LAM / 4,
                          radius=LAM / 2000)
     scene = Scene(half_wave(y=-2.5), half_wave(y=2.5), surface, FREQ)
-    return assemble_impedances(scene)
+    return assemble_impedances(scene)[0]
 
 
 class TestTuningState:
@@ -197,7 +197,7 @@ def random_single_element_imps(seed: int) -> ImpedanceSet:
     )
     tx = half_wave(x=-2.0 * LAM, y=rng.uniform(-1.0, 1.0) * LAM)
     rx = half_wave(x=2.0 * LAM, y=rng.uniform(-1.0, 1.0) * LAM)
-    return assemble_impedances(Scene(tx, rx, (element,), FREQ))
+    return assemble_impedances(Scene(tx, rx, (element,), FREQ))[0]
 
 
 def grid_imps(n: int = 4) -> ImpedanceSet:
@@ -209,7 +209,7 @@ def grid_imps(n: int = 4) -> ImpedanceSet:
     surface = build_grid(n, n, spacing=0.125, half_length=0.23, radius=0.002)
     scene = Scene(wire((0.0, -3.0, 0.0)), wire((0.0, 3.0, 0.0)), surface,
                   299_792_458.0)
-    return assemble_impedances(scene)
+    return assemble_impedances(scene)[0]
 
 
 class TestOptimizer:

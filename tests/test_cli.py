@@ -88,7 +88,43 @@ def read_sweep(path):
     return [line.split(",") for line in lines[1:]]
 
 
+def assert_rows_match_one_scene(cfg_path, parameter, rows):
+    """Every ok sweep row equals, bit for bit, its point's scene assembled
+    and evaluated on its own."""
+    cfg = load_scene_config(cfg_path)
+    for row in rows:
+        if row[8] != "ok":
+            continue
+        scene = resolve_sweep_scene(cfg, parameter, float(row[2]))
+        result = end_to_end(assemble_impedances(scene)[0],
+                            tuning_for_scene(cfg, scene))
+        h = result.h_e2e
+        assert int(row[3]) == scene.n_elements
+        assert [float(v) for v in row[4:8]] == [h.real, h.imag, abs(h),
+                                                 result.gain_db]
+
+
 class TestImpedanceCommand:
+    def test_csv_writer_matches_per_entry_formatting(self, tmp_path):
+        # signed zeros, subnormals, integers and extremes; a vector
+        # emits as a single column
+        matrix = np.array([
+            [complex(0.0, -0.0), complex(-0.0, 1.0), complex(5e-324, -2.5e-310)],
+            [complex(3.0, -7.0), complex(1e300, 0.1), complex(-0.0, -0.0)],
+        ])
+        for values in (matrix, matrix.T, matrix[1], np.array([1, -2, 1024])):
+            path = tmp_path / "z.csv"
+            cli._write_complex_csv(path, values)
+            cells = np.atleast_2d(np.asarray(values, dtype=complex))
+            if values.ndim == 1:
+                cells = cells.T
+            lines = ["row,col,re_ohm,im_ohm"]
+            for r in range(cells.shape[0]):
+                for c in range(cells.shape[1]):
+                    v = complex(cells[r, c])
+                    lines.append(f"{r},{c},{v.real!r},{v.imag!r}")
+            assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
     def test_single_element_outputs(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, elements_config(n=1))
         out = tmp_path / "out"
@@ -143,7 +179,7 @@ class TestChannelCommand:
                                 "condition_estimate"}
 
         cfg = load_scene_config(cfg_path)
-        imps = assemble_impedances(cfg.scene)
+        imps = assemble_impedances(cfg.scene)[0]
         expected = imps.z_rt - imps.z_rs[0] * imps.z_st[0] / (
             imps.z_ss[0, 0] - 42.0j
         )
@@ -253,16 +289,7 @@ class TestSweepCommand:
         assert counts == sorted(counts, reverse=True)
         assert counts[0] == 16 and counts[-1] == 1
 
-        # each row must agree with an independent library evaluation
-        cfg = load_scene_config(cfg_path)
-        for row in rows:
-            scene = resolve_sweep_scene(cfg, "spacing", float(row[2]))
-            imps = assemble_impedances(scene)
-            tuning = tuning_for_scene(cfg, scene)
-            result = end_to_end(imps, tuning)
-            assert abs(complex(float(row[4]), float(row[5])) - result.h_e2e) \
-                <= 1e-12 * abs(result.h_e2e)
-            assert abs(float(row[7]) - result.gain_db) <= 1e-12
+        assert_rows_match_one_scene(cfg_path, "spacing", rows)
 
     def test_element_count_sweep(self, tmp_path):
         cfg_path = write_config(tmp_path, grid_config(rows=2, cols=2))
@@ -273,6 +300,18 @@ class TestSweepCommand:
         rows = read_sweep(out / "sweep.csv")
         assert [int(r[3]) for r in rows] == [2, 4, 6]
         assert all(r[8] == "ok" for r in rows)
+        assert_rows_match_one_scene(cfg_path, "n_elements", rows)
+
+    def test_frequency_sweep_rows_match_one_scene(self, tmp_path):
+        # one assembly call serves every point, each at its own k
+        cfg_path = write_config(tmp_path, grid_config(rows=2, cols=3))
+        out = tmp_path / "out"
+        assert main(["sweep", cfg_path, "--param", "frequency",
+                     "--from", "2.5e8", "--to", "3.5e8", "--points", "4",
+                     "--out", str(out)]) == 0
+        rows = read_sweep(out / "sweep.csv")
+        assert [r[8] for r in rows] == ["ok"] * 4
+        assert_rows_match_one_scene(cfg_path, "frequency", rows)
 
     def test_resonant_point_is_reported_not_fatal(self, tmp_path, capsys):
         # geometry resolves at 3e8 Hz with quarter-wave elements; at twice
@@ -289,6 +328,7 @@ class TestSweepCommand:
         rows = read_sweep(out / "sweep.csv")
         assert [r[8] for r in rows] == ["ok", "ResonantLength", "ok"]
         assert "1 failed" in capsys.readouterr().out
+        assert_rows_match_one_scene(cfg_path, "frequency", rows)
 
     def test_crowded_spacing_point_fails_as_geometry(self, tmp_path):
         # a 1e-7 m pitch over the 0.375 m aperture would hold 1.4e13

@@ -309,7 +309,7 @@ class TestAssembly:
         rx = half_wave(x=3.0)
         element = half_wave()
         scene = Scene(tx, rx, (element,), FREQ)
-        imps = assemble_impedances(scene)
+        imps = assemble_impedances(scene)[0]
         assert imps.n_elements == 1
         assert imps.z_rt == mutual_impedance(tx, rx, K)
         assert imps.z_st[0] == mutual_impedance(tx, element, K)
@@ -320,7 +320,7 @@ class TestAssembly:
         surface = build_grid(2, 2, spacing=LAM / 8, half_length=LAM / 4,
                              radius=LAM / 2000)
         scene = Scene(half_wave(x=-4.0), half_wave(x=4.0), surface, FREQ)
-        imps = assemble_impedances(scene)
+        imps = assemble_impedances(scene)[0]
         z = imps.z_ss
         # identical elements: one self-impedance everywhere on the diagonal
         for i in range(1, 4):
@@ -337,7 +337,7 @@ class TestAssembly:
         surface = build_grid(1, 2, spacing=LAM / 2, half_length=LAM / 4,
                              radius=LAM / 2000)
         scene = Scene(half_wave(y=-5.0), half_wave(y=5.0), surface, FREQ)
-        imps = assemble_impedances(scene)
+        imps = assemble_impedances(scene)[0]
         assert imps.z_st[0] == pytest.approx(imps.z_st[1], rel=1e-10)
         assert imps.z_rs[0] == pytest.approx(imps.z_rs[1], rel=1e-10)
 
@@ -352,7 +352,7 @@ class TestAssembly:
 
         monkeypatch.setattr(impedance, "mutual_impedance_oracle", refuse)
         monkeypatch.setattr(impedance, "adaptive_quad", refuse)
-        imps = assemble_impedances(scene)
+        imps = assemble_impedances(scene)[0]
         assert np.all(np.isfinite(imps.z_ss))
 
     @pytest.mark.parametrize("side, spacing, plane",
@@ -367,7 +367,7 @@ class TestAssembly:
         surface = build_grid(side, side, spacing=spacing,
                              half_length=0.23 * LAM, radius=radius, plane=plane)
         scene = Scene(half_wave(x=-4.0), half_wave(x=4.0), surface, FREQ)
-        resistance = assemble_impedances(scene).z_ss.real
+        resistance = assemble_impedances(scene)[0].z_ss.real
         bound = (K * radius) ** 2 / 3.0 * resistance.diagonal().max()
         assert np.linalg.eigvalsh(resistance)[0] >= -bound
 
@@ -375,7 +375,7 @@ class TestAssembly:
         surface = build_grid(1, 2, spacing=LAM / 10, half_length=LAM / 4,
                              radius=LAM / 2000)
         scene = Scene(half_wave(x=-4.0), half_wave(x=4.0), surface, FREQ)
-        imps = assemble_impedances(scene)
+        imps = assemble_impedances(scene)[0]
         assert abs(imps.z_ss[0, 0]) > abs(imps.z_ss[0, 1])
 
 
@@ -450,7 +450,7 @@ class TestArrayKernel:
     def test_matches_scalar_reference(self, name):
         data = json.loads(SCALAR_REFERENCE.read_text())["scenes"][name]
         scene, surface = _reference_scene(data)
-        imps = assemble_impedances(scene)
+        imps = assemble_impedances(scene)[0]
         got = [imps.z_rt, *imps.z_st, *imps.z_rs]
         got += [imps.z_ss[q, p] for q in range(len(surface))
                 for p in range(q, len(surface))]
@@ -467,7 +467,7 @@ class TestArrayKernel:
     @settings(max_examples=25, deadline=None)
     @given(jittered_scenes())
     def test_batched_and_one_pair_values_are_bit_identical(self, scene):
-        imps = assemble_impedances(scene)
+        imps = assemble_impedances(scene)[0]
         k, tx, rx = scene.wavenumber, scene.transmitter, scene.receiver
         assert imps.z_rt == mutual_impedance(tx, rx, k)
         for i, e in enumerate(scene.surface):
@@ -481,9 +481,9 @@ class TestArrayKernel:
         surface = build_grid(3, 3, spacing=LAM / 8, half_length=0.23 * LAM,
                              radius=0.002 * LAM)
         scene = Scene(half_wave(y=-3.0), half_wave(y=3.0), surface, FREQ)
-        whole = assemble_impedances(scene)
+        whole = assemble_impedances(scene)[0]
         monkeypatch.setattr(impedance, "PAIR_CHUNK", 4)
-        chunked = assemble_impedances(scene)
+        chunked = assemble_impedances(scene)[0]
         assert np.array_equal(chunked.z_ss, whole.z_ss)
         assert np.array_equal(chunked.z_st, whole.z_st)
         assert np.array_equal(chunked.z_rs, whole.z_rs)
@@ -491,7 +491,8 @@ class TestArrayKernel:
     @pytest.mark.parametrize("plane", ["xy", "xz"])
     def test_eighteen_e1_arguments_per_pair(self, monkeypatch, plane):
         # E1 at the observer's ends and centre, from each source point
-        # with each phase sign; xz grids add collinear pairs
+        # with each phase sign, once for z_rt and once per distinct pair
+        # geometry; xz grids add collinear pairs
         surface = build_grid(3, 3, spacing=LAM / 2, half_length=0.23 * LAM,
                              radius=0.002 * LAM, plane=plane)
         scene = Scene(half_wave(x=-4.0), half_wave(x=4.0), surface, FREQ)
@@ -504,4 +505,88 @@ class TestArrayKernel:
         monkeypatch.setattr(impedance, "exp_integral_e1", counting)
         assemble_impedances(scene)
         n = len(surface)
-        assert sum(seen) == 18 * (1 + 2 * n + n * (n + 1) // 2)
+        distinct = _distinct_pair_rows(scene)
+        assert sum(seen) == 18 * (1 + distinct)
+        assert sum(seen) < 18 * (1 + 2 * n + n * (n + 1) // 2)
+
+    @pytest.mark.parametrize("jitter", [0.0, LAM / 32],
+                             ids=["grid", "jittered"])
+    def test_only_distinct_pair_geometries_reach_the_kernel(self, monkeypatch,
+                                                            jitter):
+        # a jittered grid repeats too few rho values for the key step to
+        # pay, so there every pair reaches the kernel
+        grid = build_grid(8, 8, spacing=LAM / 8, half_length=0.23 * LAM,
+                          radius=0.002 * LAM)
+        offsets = np.random.default_rng(5).uniform(-jitter, jitter, (64, 3))
+        surface = tuple(Dipole(tuple(np.add(d.center, o)), d.half_length,
+                               d.radius) for d, o in zip(grid, offsets))
+        scene = Scene(half_wave(y=-3.0), half_wave(y=3.0), surface, FREQ)
+        rows, kernel = [], impedance._closed_form
+
+        def counting(rho, *rest):
+            rows.append(np.size(rho))
+            return kernel(rho, *rest)
+
+        monkeypatch.setattr(impedance, "_closed_form", counting)
+        assemble_impedances(scene)
+        distinct = _distinct_pair_rows(scene)
+        assert distinct < 2208
+        assert sum(rows) == 1 + (distinct if jitter == 0 else 2208)
+
+    @settings(max_examples=10, deadline=None)
+    @given(jittered_scenes(), jittered_scenes())
+    def test_scenes_assembled_together_match_one_at_a_time(self, a, b):
+        # b again at another frequency shares its geometry, not its k
+        c = Scene(b.transmitter, b.receiver, b.surface, 1.5 * FREQ)
+        grid = Scene(half_wave(y=-3.0), half_wave(y=3.0),
+                     build_grid(2, 3, spacing=LAM / 8, half_length=0.23 * LAM,
+                                radius=0.002 * LAM), FREQ)
+        scenes = (a, grid, b, c)
+        together = assemble_impedances(*scenes)
+        for scene, imps in zip(scenes, together, strict=True):
+            assert _same_bits(imps, assemble_impedances(scene)[0])
+        assert assemble_impedances() == []
+
+    @pytest.mark.parametrize("chunk, receiver, message", [
+        (1024, LAM / 4, "source half-length 0.499654 m"),
+        (5, LAM / 4, "observer half-length 0.499654 m"),
+        (5, LAM, "observer half-length 0.999308 m"),
+    ], ids=["one-chunk", "5-pair-chunks", "resonant-receiver"])
+    def test_resonant_wires_name_the_first_pair_a_chunked_pass_meets(
+            self, monkeypatch, chunk, receiver, message):
+        # wires 0 and 4 mirror each other about the transmitter, so the
+        # transmitter rows repeat keys; with 5-pair chunks the first chunk
+        # holds only transmitter rows, and the message must still come
+        # from them, not from the wire-to-receiver rows after them. z_rt
+        # comes first, so a resonant receiver is named before any wire.
+        half = [0.5, 0.23, 0.23, 0.23, 0.5]
+        surface = tuple(Dipole(((i - 2) * LAM / 4, 0.0, 0.0), h * LAM,
+                               0.002 * LAM) for i, h in enumerate(half))
+        rx = Dipole((0.0, 3.0, 0.0), receiver, LAM / 2000)
+        scene = Scene(half_wave(y=-3.0), rx, surface, FREQ)
+        monkeypatch.setattr(impedance, "PAIR_CHUNK", chunk)
+        with pytest.raises(ResonantLength) as exc:
+            assemble_impedances(scene)
+        sin = "2.45e-16" if receiver == LAM else "1.22e-16"
+        assert str(exc.value) == (
+            f"{message} sits within the guard band of a current-"
+            f"normalization zero (|sin(k*h)| = {sin}); change the length "
+            "or the frequency")
+
+
+def _distinct_pair_rows(scene) -> int:
+    """Distinct pair_geometry rows of a scene's 2N + N(N+1)/2 batched
+    pairs, counted as a set of tuples."""
+    n = scene.n_elements
+    wires = (scene.transmitter, scene.receiver) + scene.surface
+    element = range(2, n + 2)
+    pairs = ([(0, e) for e in element] + [(e, 1) for e in element]
+             + [(p, q) for q in element for p in element if p >= q])
+    src, obs = zip(*pairs)
+    return len(set(zip(*pair_geometry(wires, src, obs))))
+
+
+def _same_bits(a, b) -> bool:
+    return all(np.asarray(getattr(a, f)).tobytes()
+               == np.asarray(getattr(b, f)).tobytes()
+               for f in ("z_rt", "z_rs", "z_st", "z_ss"))
