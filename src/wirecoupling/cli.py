@@ -37,6 +37,11 @@ from .impedance import assemble_impedances, mutual_impedance, mutual_impedance_o
 
 VALIDATE_GATE = 1e-6  # closed form vs oracle acceptance threshold
 
+# Consecutive sweep points share one assembly call while their pair rows,
+# 2N + N(N+1)/2 each, fit in this; so a sweep's memory does not grow with
+# its point count. A point with more rows than this is assembled alone.
+SWEEP_BATCH_PAIRS = 65536
+
 
 def _write_text(path: Path, text: str):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -90,13 +95,12 @@ def _cmd_impedance(cfg: SceneConfig, args) -> int:
 def _tuning(cfg: SceneConfig, scene, command: str):
     """Fixed tuning sized to the scene by tuning_for_scene, or None under
     an optimize directive; ConfigError, before assembly, if it is absent."""
-    tuning = None if cfg.optimize is not None else tuning_for_scene(cfg, scene)
-    if cfg.optimize is None and tuning is None:
+    if cfg.optimize is None and cfg.tuning is None:
         raise ConfigError(
             f"tuning: required by the {command} command (fixed entries or "
             f"an optimize directive)"
         )
-    return tuning
+    return None if cfg.optimize is not None else tuning_for_scene(cfg, scene)
 
 
 def _tuned_channel(cfg: SceneConfig, imps, tuning):
@@ -142,6 +146,26 @@ def _cmd_channel(cfg: SceneConfig, args) -> int:
     return 0
 
 
+def _sweep_batch(cfg: SceneConfig, batch, cells):
+    """Set the cells of the (index, scene, tuning) points of batch, all
+    assembled in one call. If that call raises, the points are assembled
+    one at a time, so a row's status is the first error its point raises."""
+    try:
+        sets = assemble_impedances(*(scene for _, scene, _ in batch))
+    except WireCouplingError:
+        sets = None
+    for j, (i, scene, tuning) in enumerate(batch):
+        try:
+            imps = sets[j] if sets else assemble_impedances(scene)[0]
+            result = _tuned_channel(cfg, imps, tuning)[0]
+        except WireCouplingError as exc:
+            cells[i] = f",,,,,{type(exc).__name__}"
+            continue
+        h = result.h_e2e
+        cells[i] = (f"{scene.n_elements},{h.real!r},{h.imag!r},{abs(h)!r},"
+                    f"{result.gain_db!r},ok")
+
+
 def _cmd_sweep(cfg: SceneConfig, args) -> int:
     if args.points < 1:
         raise ConfigError("sweep --points must be at least 1")
@@ -151,31 +175,22 @@ def _cmd_sweep(cfg: SceneConfig, args) -> int:
     out = _out_dir(cfg, args)
     values = np.linspace(args.start, args.stop, args.points).tolist()
 
-    # A row's status is the first error its own point raises: the points
-    # that resolve share one assembly call, and if it raises they are
-    # assembled one at a time.
     cells = [None] * len(values)  # the columns after value, per point
-    points = []
+    batch, rows = [], 0
     for i, value in enumerate(values):
         try:
             scene = resolve_sweep_scene(cfg, args.parameter, value)
-            points.append((i, scene, _tuning(cfg, scene, "sweep")))
-        except WireCouplingError as exc:
-            cells[i] = f",,,,,{type(exc).__name__}"
-    try:
-        batch = assemble_impedances(*(scene for _, scene, _ in points))
-    except WireCouplingError:
-        batch = None
-    for j, (i, scene, tuning) in enumerate(points):
-        try:
-            imps = batch[j] if batch else assemble_impedances(scene)[0]
-            result = _tuned_channel(cfg, imps, tuning)[0]
+            point = (i, scene, _tuning(cfg, scene, "sweep"))
         except WireCouplingError as exc:
             cells[i] = f",,,,,{type(exc).__name__}"
             continue
-        h = result.h_e2e
-        cells[i] = (f"{scene.n_elements},{h.real!r},{h.imag!r},{abs(h)!r},"
-                    f"{result.gain_db!r},ok")
+        size = scene.n_elements * (scene.n_elements + 5) // 2
+        if batch and rows + size > SWEEP_BATCH_PAIRS:
+            _sweep_batch(cfg, batch, cells)
+            batch, rows = [], 0
+        batch.append(point)
+        rows += size
+    _sweep_batch(cfg, batch, cells)
     failures = sum(not c.endswith(",ok") for c in cells)
     lines = ["index,parameter,value,n_elements,"
              "h_e2e_re_ohm,h_e2e_im_ohm,h_e2e_abs_ohm,gain_db,status"]

@@ -40,7 +40,7 @@ def _first(values, mask):
     return np.broadcast_to(values, np.shape(mask))[mask][0].item()
 
 
-def _sin_or_raise(h, k, role: str):
+def _sin_or_raise(h, k: float, role: str):
     s = np.sin(k * np.asarray(h, dtype=float))
     bad = np.abs(s) <= SIN_MIN
     if np.any(bad):
@@ -76,13 +76,13 @@ def _field_terms(z, rho: float, dz: float, h_p: float, k: float):
     return acc
 
 
-def _closed_form(rho, dz, h_p, h_q, k) -> np.ndarray:
+def _closed_form(rho, dz, h_p, h_q, k: float) -> np.ndarray:
     """Coupling impedances of the pairs given as the equal-length 1-D
-    arrays of pair_geometry and k (one per pair, or one for all), with one
-    exp_integral_e1 call on 18 arguments per pair; see mutual_impedance."""
+    arrays of pair_geometry, with one exp_integral_e1 call on 18
+    arguments per pair; see mutual_impedance for the formula."""
     sin_p = _sin_or_raise(h_p, k, "source")
     sin_q = _sin_or_raise(h_q, k, "observer")
-    if not np.all(k > 0):
+    if not k > 0:
         raise DomainError("mutual impedance: k must be positive")
     cos_p = np.cos(k * h_p)
     # Point axes: sign s in (+1, -1), observer point z in (-h_q, 0, +h_q),
@@ -264,35 +264,12 @@ class ImpedanceSet:
         return self.z_rs.shape[0]
 
 
-def assemble_impedances(*scenes: Scene) -> list[ImpedanceSet]:
-    """Compute the coupling impedances of each scene, one ImpedanceSet each.
-
-    Uses the closed form for every pair, collinear ones included; no
-    quadrature runs. Per scene, z_rt is one mutual_impedance call. The
-    2N transmitter/receiver pairs and the N(N+1)/2 pairs of the upper
-    triangle of z_ss of every scene are pair_geometry rows with their k.
-    Unless too few rows repeat their rho to pay for it, each distinct
-    row, compared bit for bit, goes through the kernel once. Rows run in
-    first-occurrence order, grouped by the PAIR_CHUNK block of their
-    first occurrence, so an error names the pair that a chunked pass
-    over all pairs would meet first. The triangle is mirrored;
-    reciprocity of the underlying formula is covered by tests.
-    """
-    if not scenes:
-        return []
-    z_rt = [mutual_impedance(scene.transmitter, scene.receiver,
-                             scene.wavenumber) for scene in scenes]
-    tables = []
-    for scene in scenes:
-        n = scene.n_elements
-        wires = (scene.transmitter, scene.receiver) + scene.surface
-        element = np.arange(2, n + 2)
-        q, p = np.triu_indices(n)  # z_ss[q, p] couples source p to observer q
-        src = np.concatenate([np.zeros(n, int), element, p + 2])
-        obs = np.concatenate([element, np.ones(n, int), q + 2])
-        k = np.full(src.size, scene.wavenumber)
-        tables.append(np.column_stack([*pair_geometry(wires, src, obs), k]))
-    table = np.concatenate(tables)
+def _keyed_closed_form(table: np.ndarray, k: float) -> np.ndarray:
+    """Kernel values of the pair_geometry rows of table, shape (M, 4), at
+    wavenumber k. Unless too few rows repeat their rho to pay for it, each
+    distinct row, compared bit for bit, is evaluated once. Rows run in
+    first-occurrence order, grouped by the PAIR_CHUNK block of their first
+    occurrence, so an error names the row a chunked pass would meet first."""
     # Keys save at most the rows whose rho repeats: under a quarter, the
     # key sort would cost about what it saves, so every row is its own key.
     if 4 * np.unique(table[:, 0]).size > 3 * table.shape[0]:
@@ -307,13 +284,43 @@ def assemble_impedances(*scenes: Scene) -> list[ImpedanceSet]:
     distinct = np.empty(first.size, dtype=complex)
     for lo, hi in zip(bounds, bounds[1:]):
         rows = order[lo:hi]
-        distinct[rows] = _closed_form(*table[first[rows]].T.copy())
-    values = distinct[inverse]
+        distinct[rows] = _closed_form(*table[first[rows]].T.copy(), k)
+    return distinct[inverse]
+
+
+def assemble_impedances(*scenes: Scene) -> list[ImpedanceSet]:
+    """Compute the coupling impedances of each scene, one ImpedanceSet each.
+
+    Uses the closed form for every pair, collinear ones included; no
+    quadrature runs. Per scene, z_rt is one mutual_impedance call. The
+    other 2N + N(N+1)/2 pairs of the scenes that share a wavenumber go
+    through _keyed_closed_form together, wavenumbers in order of first
+    appearance. So each distinct pair is evaluated once, and an error
+    names the pair a chunked pass over all pairs would meet first. The
+    upper triangle of z_ss is mirrored; reciprocity of the underlying
+    formula is covered by tests.
+    """
+    z_rt = [mutual_impedance(scene.transmitter, scene.receiver,
+                             scene.wavenumber) for scene in scenes]
+    tables = []
+    for scene in scenes:
+        n = scene.n_elements
+        wires = (scene.transmitter, scene.receiver) + scene.surface
+        element = np.arange(2, n + 2)
+        q, p = np.triu_indices(n)  # z_ss[q, p] couples source p to observer q
+        src = np.concatenate([np.zeros(n, int), element, p + 2])
+        obs = np.concatenate([element, np.ones(n, int), q + 2])
+        tables.append(np.column_stack(pair_geometry(wires, src, obs)))
+    values = {}
+    for k in dict.fromkeys(scene.wavenumber for scene in scenes):
+        group = [i for i, scene in enumerate(scenes) if scene.wavenumber == k]
+        ends = np.cumsum([len(tables[i]) for i in group])[:-1]
+        flat = _keyed_closed_form(np.concatenate([tables[i] for i in group]), k)
+        values.update(zip(group, np.split(flat, ends)))
 
     sets = []
-    parts = np.split(values, np.cumsum([len(t) for t in tables])[:-1])
-    for scene, direct, part in zip(scenes, z_rt, parts):
-        n = scene.n_elements
+    for i, (scene, direct) in enumerate(zip(scenes, z_rt)):
+        n, part = scene.n_elements, values[i]
         q, p = np.triu_indices(n)
         z_ss = np.empty((n, n), dtype=complex)
         z_ss[q, p] = z_ss[p, q] = part[2 * n:]

@@ -303,7 +303,8 @@ class TestSweepCommand:
         assert_rows_match_one_scene(cfg_path, "n_elements", rows)
 
     def test_frequency_sweep_rows_match_one_scene(self, tmp_path):
-        # one assembly call serves every point, each at its own k
+        # one assembly call serves every point, each at its own k,
+        # evaluated in one group per wavenumber
         cfg_path = write_config(tmp_path, grid_config(rows=2, cols=3))
         out = tmp_path / "out"
         assert main(["sweep", cfg_path, "--param", "frequency",
@@ -329,6 +330,42 @@ class TestSweepCommand:
         assert [r[8] for r in rows] == ["ok", "ResonantLength", "ok"]
         assert "1 failed" in capsys.readouterr().out
         assert_rows_match_one_scene(cfg_path, "frequency", rows)
+
+    @pytest.mark.parametrize("resonant", [False, True],
+                             ids=["spacing", "resonant-frequency"])
+    def test_batched_sweep_matches_one_call_bytes(self, tmp_path, monkeypatch,
+                                                  resonant):
+        # points join an assembly call while their pair rows fit in the
+        # budget, a larger point alone; a batch holding a resonant point
+        # falls back to one call per point
+        data = grid_config(rows=4, cols=4)
+        sweep = ["--param", "spacing", "--from", repr(0.125 * LAM),
+                 "--to", repr(0.5 * LAM), "--points", "7"]
+        budget, calls = 100, [1, 3, 3]  # N = 16; 9, 4, 4; 4, 1, 1
+        if resonant:  # as test_resonant_point_is_reported_not_fatal
+            data = grid_config(rows=1, cols=2, spacing=0.5)
+            for wire in (data["transmitter"], data["receiver"],
+                         data["surface"]["grid"]):
+                wire["half_length"] = 0.25
+            sweep = ["--param", "frequency", "--from", "5.7e8",
+                     "--to", "6.3e8", "--points", "5"]
+            budget, calls = 21, [3, 1, 1, 1, 2]  # 7 pair rows a point
+        sweep = ["sweep", write_config(tmp_path, data), *sweep, "--out"]
+        assert main(sweep + [str(tmp_path / "one")]) == 0
+        seen, assemble = [], cli.assemble_impedances
+
+        def counting(*scenes):
+            seen.append(len(scenes))
+            return assemble(*scenes)
+
+        monkeypatch.setattr(cli, "assemble_impedances", counting)
+        monkeypatch.setattr(cli, "SWEEP_BATCH_PAIRS", budget)
+        assert main(sweep + [str(tmp_path / "batched")]) == 0
+        assert seen == calls
+        csv = [(tmp_path / d / "sweep.csv").read_bytes()
+               for d in ("one", "batched")]
+        assert csv[0] == csv[1]
+        assert (b"ResonantLength" in csv[0]) == resonant
 
     def test_crowded_spacing_point_fails_as_geometry(self, tmp_path):
         # a 1e-7 m pitch over the 0.375 m aperture would hold 1.4e13

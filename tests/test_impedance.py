@@ -514,24 +514,34 @@ class TestArrayKernel:
     def test_only_distinct_pair_geometries_reach_the_kernel(self, monkeypatch,
                                                             jitter):
         # a jittered grid repeats too few rho values for the key step to
-        # pay, so there every pair reaches the kernel
+        # pay, so there every pair reaches the kernel. The same surface at
+        # a second frequency shares no values with the first: the kernel
+        # sees each wavenumber's rows apart, with k as a scalar.
         grid = build_grid(8, 8, spacing=LAM / 8, half_length=0.23 * LAM,
                           radius=0.002 * LAM)
         offsets = np.random.default_rng(5).uniform(-jitter, jitter, (64, 3))
         surface = tuple(Dipole(tuple(np.add(d.center, o)), d.half_length,
                                d.radius) for d, o in zip(grid, offsets))
         scene = Scene(half_wave(y=-3.0), half_wave(y=3.0), surface, FREQ)
+        other = Scene(scene.transmitter, scene.receiver, surface, 1.5 * FREQ)
         rows, kernel = [], impedance._closed_form
 
-        def counting(rho, *rest):
-            rows.append(np.size(rho))
-            return kernel(rho, *rest)
+        def counting(rho, dz, h_p, h_q, k):
+            rows.append((np.size(rho), k))
+            return kernel(rho, dz, h_p, h_q, k)
 
         monkeypatch.setattr(impedance, "_closed_form", counting)
         assemble_impedances(scene)
         distinct = _distinct_pair_rows(scene)
         assert distinct < 2208
-        assert sum(rows) == 1 + (distinct if jitter == 0 else 2208)
+        batch = distinct if jitter == 0 else 2208
+        assert sum(n for n, _ in rows) == 1 + batch
+        rows.clear()
+        assemble_impedances(scene, other, scene)
+        assert all(type(k) is float for _, k in rows)
+        # scene twice repeats every rho, so its keys always pay
+        assert sum(n for n, k in rows if k == scene.wavenumber) == 2 + distinct
+        assert sum(n for n, k in rows if k == other.wavenumber) == 1 + batch
 
     @settings(max_examples=10, deadline=None)
     @given(jittered_scenes(), jittered_scenes())
