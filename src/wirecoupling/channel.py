@@ -10,9 +10,15 @@ adjusts per-element reactances to maximize |h|. Changing one load is a
 rank-1 update of the system, so each step moves a reactance straight to
 its exact maximizer over the bounds (a closed form from Sherman-Morrison)
 and updates the optimizer's inverse in O(N^2), under the same gates as
-the solve; one checked factorization per sweep bounds the drift. All
-matrix algebra runs on scipy's BLAS (LU, zgemv): numpy links a second
-OpenBLAS, and switching between the two thread pools costs milliseconds.
+the solve; one checked factorization per sweep bounds the drift. A step
+gates its condition number first on an O(N) upper bound of the updated
+inverse's 1-norm and takes the exact norm only where that bound exceeds
+the cap, so it decides as the exact gate would while its only
+full-matrix work is one zgemv with Z_ss (for the residual; the system is
+never rebuilt) and one zgeru into a copy of the inverse. All matrix
+algebra runs on scipy's BLAS (LU, zgetri, zgemv, zgeru): numpy links a
+second OpenBLAS, and switching between the two thread pools costs
+milliseconds.
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.blas import zgemv
-from scipy.linalg.lapack import zgecon
+from scipy.linalg.blas import dznrm2, zgemv, zgeru
+from scipy.linalg.lapack import zgecon, zgetri, zgetri_lwork
 
 from .errors import DomainError, SingularSystem
 from .impedance import ImpedanceSet
@@ -33,6 +39,11 @@ from .impedance import ImpedanceSet
 DEFAULT_REACTANCE_BOUNDS = (-2000.0, 2000.0)  # [ohm]
 DEFAULT_CONDITION_CAP = 1e12
 _RESIDUAL_REL_MAX = 1e-10
+# Relative margin on _rank1's O(N) norm bound, so that rounding in the
+# update and in the column sums (about N ulps) never takes a computed
+# |A^-1|_1 above it. The bound only decides when the exact norm is
+# needed, so the margin changes no decision.
+_BOUND_ROUNDING = 1.0 + 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,24 +85,34 @@ class ChannelResult:
     condition_estimate: float
 
 
+def _residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x - b by zgemv on a's transpose, the Fortran-ordered view of the
+    C-ordered a: given a itself, f2py would copy it on every call."""
+    return zgemv(1.0, a.T, x, -1.0, b, trans=1)
+
+
 def _solve(imps: ImpedanceSet, entries: np.ndarray, cond_cap: float):
     """Checked solve of (Z_ss + diag(entries)) x = z_st.
 
     Returns ((lu, piv), x, h, cond). Raises DomainError for entries that
     do not fit the surface, SingularSystem as described in end_to_end.
+    ImpedanceSet and TuningState check that their values are finite, and
+    the optimizer's entries stay within finite bounds, so scipy's
+    finiteness passes are skipped.
     """
-    if entries.shape[0] != imps.n_elements:
+    n = imps.n_elements
+    if entries.shape[0] != n:
         raise DomainError(
-            f"tuning has {entries.shape[0]} entries, surface has "
-            f"{imps.n_elements} elements"
+            f"tuning has {entries.shape[0]} entries, surface has {n} elements"
         )
-    system = imps.z_ss + np.diag(entries)
+    system = imps.z_ss.copy()
+    system.flat[::n + 1] += entries
     with warnings.catch_warnings():
         # An exactly singular matrix makes the factorization warn; the
         # condition estimate below turns that case into a typed error.
         warnings.simplefilter("ignore")
         try:
-            lu, piv = lu_factor(system)
+            lu, piv = lu_factor(system, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(f"coupling system factorization failed: {exc}")
     if not np.all(np.isfinite(lu)):
@@ -107,13 +128,14 @@ def _solve(imps: ImpedanceSet, entries: np.ndarray, cond_cap: float):
         )
 
     rhs = imps.z_st
-    x = lu_solve((lu, piv), rhs)
+    x = lu_solve((lu, piv), rhs, check_finite=False)
     rhs_norm = np.linalg.norm(rhs)
-    residual = np.linalg.norm(zgemv(1.0, system, x) - rhs)
+    residual = np.linalg.norm(_residual(system, x, rhs))
     if residual > _RESIDUAL_REL_MAX * rhs_norm:
         # One round of iterative refinement usually recovers the digits.
-        x = x + lu_solve((lu, piv), rhs - zgemv(1.0, system, x))
-        residual = np.linalg.norm(zgemv(1.0, system, x) - rhs)
+        x = x - lu_solve((lu, piv), _residual(system, x, rhs),
+                         check_finite=False)
+        residual = np.linalg.norm(_residual(system, x, rhs))
         if residual > _RESIDUAL_REL_MAX * rhs_norm:
             raise SingularSystem(
                 f"solve residual {residual:.3e} stayed above "
@@ -180,7 +202,8 @@ def _coordinate_step(state, idx: int, current: float, lo: float,
                      hi: float) -> float:
     """Reactance in [lo, hi] of element idx that maximizes |h|, the
     others held fixed (current, the present reactance, when nothing
-    beats it). state is the present (A^-1, x, y, h), see _inverse.
+    beats it). state is the present (A^-1, x, y, h, |A^-1|_1), see
+    _inverse.
 
     With A = Z_ss + diag(entries), x = A^-1 z_st, y = A^-1 z_rs and
     g = (A^-1)_ii, a reactance change t of element i is the rank-1
@@ -193,7 +216,7 @@ def _coordinate_step(state, idx: int, current: float, lo: float,
     are the real roots of one quadratic. The best of those inside the
     bounds, the two bounds and t = 0 is the exact maximizer.
     """
-    inv, x, y, h = state
+    inv, x, y, h, _ = state
     g = complex(inv[idx, idx])
     q = h * g + complex(x[idx]) * complex(y[idx])
     # |h(t)|^2 = (a0 + a1 t + a2 t^2) / (b0 + b1 t + b2 t^2)
@@ -211,33 +234,68 @@ def _coordinate_step(state, idx: int, current: float, lo: float,
                                     if lo <= current + t <= hi], key=gain)
 
 
+def _norms(imps: ImpedanceSet):
+    """What _rank1's gates read of the surface, fixed over a run: the
+    column sums of |Z_ss| off its diagonal, that diagonal, and |z_st|_2.
+    With them |Z_ss + diag(entries)|_1 is one O(N) pass."""
+    off = np.abs(imps.z_ss)
+    off.flat[::imps.n_elements + 1] = 0.0
+    return off.sum(axis=0), imps.z_ss.diagonal(), dznrm2(imps.z_st)
+
+
 def _inverse(imps: ImpedanceSet, solved):
-    """(A^-1, x, y, h) of a _solve result, by one lu_solve against I."""
-    lu_piv, x, h, _ = solved
-    inv = lu_solve(lu_piv, np.eye(x.shape[0], dtype=complex))
-    return inv, x, zgemv(1.0, inv, imps.z_rs), h
+    """(A^-1, x, y, h, |A^-1|_1) of a _solve result; zgetri inverts the
+    LU factors (into a new array: solved stays intact)."""
+    (lu, piv), x, h, _ = solved
+    lwork, _ = zgetri_lwork(x.shape[0])
+    inv, info = zgetri(lu, piv, lwork=int(lwork.real))
+    if info != 0:
+        raise SingularSystem(f"inversion of the factors failed (info = {info})")
+    return inv, x, zgemv(1.0, inv, imps.z_rs), h, np.linalg.norm(inv, 1)
 
 
-def _rank1(imps: ImpedanceSet, entries: np.ndarray, state, idx: int,
+def _rank1(imps: ImpedanceSet, norms, entries: np.ndarray, state, idx: int,
            t: float, cond_cap: float):
     """state after entry idx, already moved in entries, changed by j t:
     A^-1 -= coef c c^T with c = A^-1 e_idx (Sherman-Morrison). None when
     the update is not finite, or fails _solve's condition cap (on the
     exact |A|_1 |A^-1|_1, never below zgecon's estimate) or residual gate.
+    norms is _norms(imps).
+
+    The cap is first checked on the O(N) bound
+    |A^-1|_1 <= |B|_1 + |coef| |c|_1 |c|_inf, B the present inverse; only
+    where that bound exceeds the cap is the exact norm taken. A pass of
+    the bound is a pass of the exact gate, so every decision is the
+    exact one. The state carries the bound (exact after _inverse) as
+    its |B|_1. The update writes a new array; state is never modified.
     """
-    inv, x, y, h = state
-    col, system = inv[:, idx], imps.z_ss + np.diag(entries)
+    inv, x, y, h, inv_norm = state
+    off, diag, z_st_norm = norms
+    den = 1.0 + 1j * t * complex(inv[idx, idx])
+    if den == 0:  # det(A') = det(A) * den: the moved system is singular
+        return None
+    coef, col = 1j * t / den, inv[:, idx]
+    x_i, y_i = complex(x[idx]), complex(y[idx])
+    h = h + coef * x_i * y_i
     with np.errstate(all="ignore"):  # a non-finite update fails below
-        coef = 1j * t / (1.0 + 1j * t * inv[idx, idx])
-        h = complex(h + coef * x[idx] * y[idx])
-        inv = inv - col[:, None] * (coef * col)
-        x, y = x - (coef * x[idx]) * col, y - (coef * y[idx]) * col
-        cond = np.abs(system).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
-        residual = np.linalg.norm(zgemv(1.0, system, x) - imps.z_st)
-    ok = (math.isfinite(cond) and cond <= cond_cap and math.isfinite(abs(h))
-          and residual <= _RESIDUAL_REL_MAX * np.linalg.norm(imps.z_st)
-          and np.isfinite(y).all())
-    return (inv, x, y, h) if ok else None
+        x, y = x - (coef * x_i) * col, y - (coef * y_i) * col
+        residual = dznrm2(_residual(imps.z_ss, x, imps.z_st) + entries * x)
+        abs_col = np.abs(col)
+        a_norm = (off + np.abs(diag + entries)).max()
+        inv_norm = (inv_norm + abs(coef) * abs_col.sum() * abs_col.max()
+                    ) * _BOUND_ROUNDING
+    if not (math.isfinite(abs(h)) and np.isfinite(y).all()
+            and residual <= _RESIDUAL_REL_MAX * z_st_norm):
+        return None
+    inv = zgeru(-coef, col, col, a=inv)  # overwrite_a = 0: a new array
+    cond = a_norm * inv_norm
+    if not (math.isfinite(cond) and cond <= cond_cap):
+        with np.errstate(all="ignore"):
+            inv_norm = np.linalg.norm(inv, 1)
+        cond = a_norm * inv_norm
+        if not (math.isfinite(cond) and cond <= cond_cap):
+            return None
+    return inv, x, y, h, inv_norm
 
 
 def optimize_tuning(
@@ -290,6 +348,7 @@ def optimize_tuning(
         )
     _channel(imps, solved)
     state, trace = _inverse(imps, solved), [abs(solved[2])]
+    norms = _norms(imps)
     stop_reason = "budget"
 
     for _ in range(budget):
@@ -303,7 +362,8 @@ def optimize_tuning(
                     continue
                 entries[idx] = current.real + 1j * target
                 proposal = None if checked else _rank1(
-                    imps, entries, state, idx, target - current.imag, cond_cap)
+                    imps, norms, entries, state, idx, target - current.imag,
+                    cond_cap)
                 if proposal is None:
                     with suppress(SingularSystem):
                         proposal = _inverse(imps, _solve(imps, entries, cond_cap))

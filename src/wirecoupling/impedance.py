@@ -292,7 +292,9 @@ def assemble_impedances(*scenes: Scene) -> list[ImpedanceSet]:
     """Compute the coupling impedances of each scene, one ImpedanceSet each.
 
     Uses the closed form for every pair, collinear ones included; no
-    quadrature runs. Per scene, z_rt is one mutual_impedance call. The
+    quadrature runs. z_rt is one mutual_impedance call per distinct
+    (transmitter, receiver, wavenumber), Dipoles compared by value, so
+    the scenes of a spacing or n_elements sweep share one call. The
     other 2N + N(N+1)/2 pairs of the scenes that share a wavenumber go
     through _keyed_closed_form together, wavenumbers in order of first
     appearance. So each distinct pair is evaluated once, and an error
@@ -300,8 +302,11 @@ def assemble_impedances(*scenes: Scene) -> list[ImpedanceSet]:
     upper triangle of z_ss is mirrored; reciprocity of the underlying
     formula is covered by tests.
     """
-    z_rt = [mutual_impedance(scene.transmitter, scene.receiver,
-                             scene.wavenumber) for scene in scenes]
+    z_rt = {}
+    for scene in scenes:
+        link = (scene.transmitter, scene.receiver, scene.wavenumber)
+        if link not in z_rt:
+            z_rt[link] = mutual_impedance(*link)
     tables = []
     for scene in scenes:
         n = scene.n_elements
@@ -319,8 +324,9 @@ def assemble_impedances(*scenes: Scene) -> list[ImpedanceSet]:
         values.update(zip(group, np.split(flat, ends)))
 
     sets = []
-    for i, (scene, direct) in enumerate(zip(scenes, z_rt)):
+    for i, scene in enumerate(scenes):
         n, part = scene.n_elements, values[i]
+        direct = z_rt[scene.transmitter, scene.receiver, scene.wavenumber]
         q, p = np.triu_indices(n)
         z_ss = np.empty((n, n), dtype=complex)
         z_ss[q, p] = z_ss[p, q] = part[2 * n:]

@@ -1,9 +1,12 @@
 """Channel solve and reactance-tuning optimizer behavior."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wirecoupling.channel
 from wirecoupling import (
@@ -371,7 +374,8 @@ class TestOptimizer:
         steps = (lambda: end_to_end(imps, init),
                  lambda: optimize_tuning(imps, init, budget=1),
                  lambda: channel._inverse(imps, solved),
-                 lambda: channel._rank1(imps, entries, state, 5, 150.0, 1e12))
+                 lambda: channel._rank1(imps, channel._norms(imps), entries,
+                                        state, 5, 150.0, 1e12))
         for step in steps:
             del calls[:]
             assert step() is not None
@@ -434,16 +438,163 @@ class TestOptimizer:
         entries = np.zeros(16, dtype=complex)
         state = channel._inverse(imps, channel._solve(imps, entries, 1e12))
         entries[5] = 150j
-        moved = channel._rank1(imps, entries, state, 5, 150.0, 1e12)
+        norms = channel._norms(imps)
+        moved = channel._rank1(imps, norms, entries, state, 5, 150.0, 1e12)
         fresh = channel._inverse(imps, channel._solve(imps, entries, 1e12))
-        for got, want in zip(moved, fresh):
+        for got, want in zip(moved[:4], fresh[:4]):  # (A^-1, x, y, h)
             assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+        # the last entry is the O(N) bound on |A^-1|_1, exact after _inverse
+        assert fresh[4] == np.linalg.norm(fresh[0], 1)
+        assert moved[4] >= np.linalg.norm(moved[0], 1)
         system = imps.z_ss + np.diag(entries)
         exact = np.linalg.norm(system, 1) * np.linalg.norm(fresh[0], 1)
-        assert channel._rank1(imps, entries, state, 5, 150.0,
+        assert channel._rank1(imps, norms, entries, state, 5, 150.0,
                               0.999 * exact) is None
-        assert channel._rank1(imps, entries, state, 5, 150.0,
+        assert channel._rank1(imps, norms, entries, state, 5, 150.0,
                               1.001 * exact) is not None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8),
+           st.lists(st.tuples(st.integers(0, 7),
+                              st.floats(-3000.0, 3000.0, allow_nan=False)),
+                    min_size=1, max_size=4))
+    def test_rank1_norm_bound_covers_the_exact_norm(self, seed, n, moves):
+        # The O(N) bound that a run carries as |A^-1|_1 stays at or above
+        # the exact norm of the updated inverse, move after move; a cap
+        # between the two sends the step to the exact norm, which passes.
+        channel = wirecoupling.channel
+        rng = np.random.default_rng(seed)
+        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        z_ss = (raw + raw.T) / 2.0
+        z_ss[np.diag_indices(n)] = 60.0 + rng.uniform(0, 20, n) + 40.0j
+        imps = ImpedanceSet(z_rt=40.0 - 8.0j, z_st=rng.normal(size=n) + 0j,
+                            z_rs=rng.normal(size=n) + 1j, z_ss=z_ss)
+        entries = 1j * rng.uniform(-500.0, 500.0, n)
+        state = channel._inverse(imps, channel._solve(imps, entries, 1e12))
+        norms = channel._norms(imps)
+        for idx, t in moves:
+            idx %= n
+            entries[idx] += 1j * t
+            moved = channel._rank1(imps, norms, entries, state, idx, t,
+                                   math.inf)
+            if moved is None:  # a move onto a pole or past the residual gate
+                break
+            exact = np.linalg.norm(moved[0], 1)
+            assert moved[4] >= exact
+            if moved[4] > exact:
+                a_norm = np.linalg.norm(z_ss + np.diag(entries), 1)
+                capped = channel._rank1(imps, norms, entries, state, idx, t,
+                                        a_norm * (exact + moved[4]) / 2.0)
+                assert capped is not None
+                assert capped[4] == np.linalg.norm(capped[0], 1)
+            state = moved
+
+    def test_rank1_norm_bound_holds_where_it_is_tight(self):
+        # With B_00 = j s and t = r / (s (1 + r)), the update -coef c c^T
+        # has B's phase in column 0, so the bound is |B'|_1 exactly up to
+        # rounding. The rounding margin must keep it on top.
+        channel = wirecoupling.channel
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            n = int(rng.integers(2, 4))
+            raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            inv = (raw + raw.T) / 2.0
+            s, r = rng.uniform(0.5, 2.0), rng.uniform(0.1, 10.0)
+            inv[0, 0] = 1j * s
+            t = r / (s * (1.0 + r))
+            system = np.linalg.inv(inv)
+            shift = np.abs(system.real).max() + 1.0
+            z_st = rng.normal(size=n) + 0j
+            imps = ImpedanceSet(z_rt=40.0, z_st=z_st, z_rs=z_st,
+                                z_ss=(system + system.T) / 2.0
+                                + shift * np.eye(n))
+            entries = np.full(n, -shift + 0j)
+            entries[0] += 1j * t
+            x = inv @ z_st
+            state = (np.asfortranarray(inv), x, x, 1.0 + 0j,
+                     np.linalg.norm(inv, 1))
+            moved = channel._rank1(imps, channel._norms(imps), entries, state,
+                                   0, t, math.inf)
+            assert moved is not None
+            assert moved[4] >= np.linalg.norm(moved[0], 1)
+
+    def test_updates_never_write_into_the_state_they_start_from(
+            self, monkeypatch):
+        # A refused proposal keeps the present state, and a redone sweep
+        # starts again from the state before it, so every state handed to
+        # _rank1 must still hold its bits after the run: the updates
+        # write new arrays only. The capped run refuses many proposals;
+        # the failed refresh makes sweep 1 redo from its start.
+        channel = wirecoupling.channel
+        rank1, solve = channel._rank1, channel._solve
+        seen, refused, calls = [], [], []
+
+        def recording(imps, norms, entries, state, *args):
+            seen.append((state, [a.tobytes() for a in state[:3]]))
+            out = rank1(imps, norms, entries, state, *args)
+            refused.append(out is None)
+            return out
+
+        def failing_once(*args):
+            calls.append(1)
+            if len(calls) == 2:  # after the start, the first refresh
+                raise SingularSystem("refresh refused")
+            return solve(*args)
+
+        monkeypatch.setattr(channel, "_rank1", recording)
+        imps = grid_imps()
+        init = TuningState.from_reactances(np.zeros(16))
+        cap = 3.0 * end_to_end(imps, init).condition_estimate
+        optimize_tuning(imps, init, budget=3, cond_cap=cap)
+        assert any(refused)
+        monkeypatch.setattr(channel, "_solve", failing_once)
+        optimize_tuning(imps, init, budget=3)
+        assert len(calls) == 21  # the redo ran
+        for state, arrays in seen:
+            assert [a.tobytes() for a in state[:3]] == arrays
+
+    def test_pole_step_is_refused_without_a_warning(self):
+        # 1 + j t B_ii = 0: the move sits on a pole of h(t), where no
+        # update exists. The step says None and warns about nothing.
+        channel = wirecoupling.channel
+        imps = grid_imps()
+        entries = np.zeros(16, dtype=complex)
+        inv, *rest = channel._inverse(imps, channel._solve(imps, entries, 1e12))
+        t = 128.0  # 1j / t and j t (j / t) = -1 are exact
+        inv = inv.copy()
+        inv[5, 5] = 1j / t
+        entries[5] = 1j * t
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert channel._rank1(imps, channel._norms(imps), entries,
+                                  (inv, *rest), 5, t, 1e12) is None
+
+    @pytest.mark.parametrize("side, budget, factorizations, gain_db", [
+        (4, 20, 22, 4.328330703679251),
+        (8, 5, 7, 5.786520917363422),
+        (16, 2, 4, 9.475318571724946),
+    ], ids=["4x4", "8x8", "16x16"])
+    def test_decision_trace_counts(self, monkeypatch, side, budget,
+                                   factorizations, gain_db):
+        # Every move of these runs passes the rank-1 gates: the start, one
+        # refresh per sweep and the final state are the only LUs, and the
+        # gain is the one the exact gates reached. The tolerance is 1e-12
+        # of the gain: at N = 256 the LU's rounding moves the gain by
+        # 1.1e-12 dB between one and two BLAS threads.
+        calls = []
+        factor = wirecoupling.channel.lu_factor
+
+        def counting_factor(*args, **kwargs):
+            calls.append(1)
+            return factor(*args, **kwargs)
+
+        imps = grid_imps(side)
+        monkeypatch.setattr(wirecoupling.channel, "lu_factor", counting_factor)
+        result = optimize_tuning(
+            imps, TuningState.from_reactances(np.zeros(side * side)),
+            budget=budget)
+        assert len(calls) == factorizations
+        assert result.channel.gain_db == pytest.approx(gain_db, rel=1e-12)
 
     def test_condition_cap_rejects_probes_mid_run(self):
         # A cap of three times the starting estimate lets the run start

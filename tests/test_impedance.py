@@ -316,6 +316,26 @@ class TestAssembly:
         assert imps.z_rs[0] == mutual_impedance(element, rx, K)
         assert imps.z_ss[0, 0] == mutual_impedance(element, element, K, same=True)
 
+    def test_one_direct_link_call_per_distinct_link(self, monkeypatch):
+        # a spacing sweep keeps transmitter, receiver and frequency, so
+        # its scenes share one z_rt call; another receiver is another link
+        tx, rx = half_wave(x=-3.0), half_wave(x=3.0)
+        scenes = [Scene(tx, rx, build_grid(2, 2, spacing=s, half_length=LAM / 4,
+                                           radius=LAM / 2000), FREQ)
+                  for s in (LAM / 8, LAM / 4, LAM / 8)]
+        scenes.append(Scene(tx, half_wave(x=3.5), scenes[0].surface, FREQ))
+        links, direct = [], impedance.mutual_impedance
+
+        def counting(*args):
+            links.append(args)
+            return direct(*args)
+
+        monkeypatch.setattr(impedance, "mutual_impedance", counting)
+        sets = assemble_impedances(*scenes)
+        assert links == [(tx, rx, K), (tx, half_wave(x=3.5), K)]
+        for scene, imps in zip(scenes, sets):
+            assert imps.z_rt == direct(scene.transmitter, scene.receiver, K)
+
     def test_square_grid_structure(self):
         surface = build_grid(2, 2, spacing=LAM / 8, half_length=LAM / 4,
                              radius=LAM / 2000)
@@ -539,8 +559,9 @@ class TestArrayKernel:
         rows.clear()
         assemble_impedances(scene, other, scene)
         assert all(type(k) is float for _, k in rows)
-        # scene twice repeats every rho, so its keys always pay
-        assert sum(n for n, k in rows if k == scene.wavenumber) == 2 + distinct
+        # scene twice repeats every rho, so its keys always pay, and its
+        # two z_rt links are one call
+        assert sum(n for n, k in rows if k == scene.wavenumber) == 1 + distinct
         assert sum(n for n, k in rows if k == other.wavenumber) == 1 + batch
 
     @settings(max_examples=10, deadline=None)
