@@ -38,6 +38,7 @@ from .impedance import ImpedanceSet
 
 DEFAULT_REACTANCE_BOUNDS = (-2000.0, 2000.0)  # [ohm]
 DEFAULT_CONDITION_CAP = 1e12
+DEFAULT_BUDGET = 20  # optimizer sweeps
 _RESIDUAL_REL_MAX = 1e-10
 # Relative margin on _rank1's O(N) norm bound, so that rounding in the
 # update and in the column sums (about N ulps) never takes a computed
@@ -111,10 +112,7 @@ def _solve(imps: ImpedanceSet, entries: np.ndarray, cond_cap: float):
         # An exactly singular matrix makes the factorization warn; the
         # condition estimate below turns that case into a typed error.
         warnings.simplefilter("ignore")
-        try:
-            lu, piv = lu_factor(system, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(f"coupling system factorization failed: {exc}")
+        lu, piv = lu_factor(system, check_finite=False)
     if not np.all(np.isfinite(lu)):
         raise SingularSystem("coupling system is singular (non-finite factors)")
     rcond, info = zgecon(lu, np.linalg.norm(system, 1))
@@ -129,13 +127,13 @@ def _solve(imps: ImpedanceSet, entries: np.ndarray, cond_cap: float):
 
     rhs = imps.z_st
     x = lu_solve((lu, piv), rhs, check_finite=False)
-    rhs_norm = np.linalg.norm(rhs)
-    residual = np.linalg.norm(_residual(system, x, rhs))
+    rhs_norm = dznrm2(rhs)
+    residual = dznrm2(_residual(system, x, rhs))
     if residual > _RESIDUAL_REL_MAX * rhs_norm:
         # One round of iterative refinement usually recovers the digits.
         x = x - lu_solve((lu, piv), _residual(system, x, rhs),
                          check_finite=False)
-        residual = np.linalg.norm(_residual(system, x, rhs))
+        residual = dznrm2(_residual(system, x, rhs))
         if residual > _RESIDUAL_REL_MAX * rhs_norm:
             raise SingularSystem(
                 f"solve residual {residual:.3e} stayed above "
@@ -301,7 +299,7 @@ def _rank1(imps: ImpedanceSet, norms, entries: np.ndarray, state, idx: int,
 def optimize_tuning(
     imps: ImpedanceSet,
     init: TuningState,
-    budget: int = 20,
+    budget: int = DEFAULT_BUDGET,
     cond_cap: float = DEFAULT_CONDITION_CAP,
     reactance_bounds: tuple[float, float] = DEFAULT_REACTANCE_BOUNDS,
 ) -> OptimizeResult:
@@ -326,7 +324,7 @@ def optimize_tuning(
     when the initial state does not solve (there is no system to step
     from).
     """
-    if not isinstance(budget, int) or budget < 1:
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
         raise DomainError("optimizer budget must be an integer >= 1")
     lo, hi = float(reactance_bounds[0]), float(reactance_bounds[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DEFAULT_REACTANCE_BOUNDS, TuningState
+from .channel import DEFAULT_BUDGET, DEFAULT_REACTANCE_BOUNDS, TuningState
 from .errors import ConfigError
 from .geometry import Dipole, Scene, build_grid, wavelength
 
@@ -59,7 +59,7 @@ class OptimizeSpec:
     """Optimizer directive from a config file."""
 
     reactance_bounds: tuple[float, float] = DEFAULT_REACTANCE_BOUNDS
-    budget: int = 20
+    budget: int = DEFAULT_BUDGET
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,10 +221,10 @@ def _tuning(value, path: str, n_elements: int):
     hi = _number(bounds_raw[1], f"{opath}.reactance_bounds[1]")
     if not lo < hi:
         _fail(f"{opath}.reactance_bounds", "must satisfy lo < hi")
+    budget = _get(o, "budget", opath, required=False, default=DEFAULT_BUDGET)
     spec = OptimizeSpec(
         reactance_bounds=(lo, hi),
-        budget=_integer(_get(o, "budget", opath, required=False, default=20),
-                        f"{opath}.budget", minimum=1),
+        budget=_integer(budget, f"{opath}.budget", minimum=1),
     )
     return None, spec
 

@@ -123,6 +123,13 @@ def _first_overlap(wires) -> tuple[int, int] | None:
     return None
 
 
+def wire_name(index: int) -> str:
+    """Role of the wire at index of (transmitter, receiver, *surface)."""
+    if index < 2:
+        return ("transmitter", "receiver")[index]
+    return f"surface[{index - 2}]"
+
+
 @dataclass(frozen=True)
 class Scene:
     """Transmitter, receiver, surface array, and operating frequency."""
@@ -141,10 +148,8 @@ class Scene:
             raise GeometryError("scene frequency must be positive")
         pair = _first_overlap((self.transmitter, self.receiver) + self.surface)
         if pair is not None:
-            names = ["transmitter", "receiver"]
-            names += [f"surface[{i}]" for i in range(len(self.surface))]
             raise GeometryError(
-                f"wires {names[pair[0]]} and {names[pair[1]]} overlap: "
+                f"wires {wire_name(pair[0])} and {wire_name(pair[1])} overlap: "
                 "separate them transversally beyond the summed radii "
                 "or make their z extents disjoint"
             )
@@ -181,7 +186,7 @@ def build_grid(
     The lattice is centered on the given center point. Identical inputs
     produce bit-identical output.
     """
-    if not (isinstance(rows, int) and isinstance(cols, int)):
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in (rows, cols)):
         raise GeometryError("grid rows and cols must be integers")
     if rows < 1 or cols < 1:
         raise GeometryError("grid rows and cols must be at least 1")

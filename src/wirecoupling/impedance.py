@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometry, DomainError, ResonantLength
-from .geometry import Dipole, Scene, pair_geometry
+from .geometry import Dipole, Scene, pair_geometry, wire_name
 from .special import adaptive_quad, exp_integral_e1
 
 FREE_SPACE_IMPEDANCE = 376.730313668  # [ohm]
@@ -40,16 +40,19 @@ def _first(values, mask):
     return np.broadcast_to(values, np.shape(mask))[mask][0].item()
 
 
-def _sin_or_raise(h, k: float, role: str):
-    s = np.sin(k * np.asarray(h, dtype=float))
-    bad = np.abs(s) <= SIN_MIN
-    if np.any(bad):
+def _check_lengths(wires, k: float, name) -> None:
+    """Raise ResonantLength if a wire's 1/sin(k*h) current normalization
+    fails, naming the first such wire, wires[i], as name(i)."""
+    h = np.array([w.half_length for w in wires])
+    s = np.sin(k * h)
+    bad = np.flatnonzero(np.abs(s) <= SIN_MIN)
+    if bad.size:
+        i = bad[0]
         raise ResonantLength(
-            f"{role} half-length {_first(h, bad):.6g} m sits within the guard "
+            f"{name(i)} half-length {h[i]:.6g} m sits within the guard "
             f"band of a current-normalization zero (|sin(k*h)| = "
-            f"{abs(_first(s, bad)):.2e}); change the length or the frequency"
+            f"{abs(s[i]):.2e}); change the length or the frequency"
         )
-    return s
 
 
 def _field_terms(z, rho: float, dz: float, h_p: float, k: float):
@@ -77,14 +80,12 @@ def _field_terms(z, rho: float, dz: float, h_p: float, k: float):
 
 
 def _closed_form(rho, dz, h_p, h_q, k: float) -> np.ndarray:
-    """Coupling impedances of the pairs given as the equal-length 1-D
-    arrays of pair_geometry, with one exp_integral_e1 call on 18
-    arguments per pair; see mutual_impedance for the formula."""
-    sin_p = _sin_or_raise(h_p, k, "source")
-    sin_q = _sin_or_raise(h_q, k, "observer")
+    """Coupling impedances of the pairs of checked wires (_check_lengths)
+    given as the 1-D arrays of pair_geometry, with one exp_integral_e1
+    call on 18 arguments per pair; see mutual_impedance for the formula."""
     if not k > 0:
         raise DomainError("mutual impedance: k must be positive")
-    cos_p = np.cos(k * h_p)
+    sin_p, sin_q, cos_p = np.sin(k * h_p), np.sin(k * h_q), np.cos(k * h_p)
     # Point axes: sign s in (+1, -1), observer point z in (-h_q, 0, +h_q),
     # source point xi in (+h_p, -h_p, 0) at z0 = xi - dz on the observer
     # axis, pair. The lower and upper observer halves join the points
@@ -131,8 +132,10 @@ def _closed_form(rho, dz, h_p, h_q, k: float) -> np.ndarray:
     return FREE_SPACE_IMPEDANCE * total / (8.0 * math.pi * sin_p * sin_q)
 
 
-def _one_pair(source: Dipole, observer: Dipole, same: bool):
-    """pair_geometry of one pair; same observes source on its own surface."""
+def _one_pair(source: Dipole, observer: Dipole, same: bool, k: float):
+    """pair_geometry of one pair, after _check_lengths on its wires named
+    source and observer; same observes source on its own surface."""
+    _check_lengths((source, observer), k, ("source", "observer").__getitem__)
     wires = (source,) if same else (source, observer)
     return pair_geometry(wires, [0], [len(wires) - 1])
 
@@ -172,12 +175,12 @@ def mutual_impedance(
     assemble_impedances runs over all pairs of a scene, and it returns
     bit for bit the value the assembly gives that pair.
 
-    Raises ResonantLength when either wire length defeats the sinusoidal
-    current normalization (k = 0 included), DomainError for k < 0 or
-    NaN, and DegenerateGeometry for collinear wires whose spans touch or
-    overlap, which Scene already rejects.
+    Raises ResonantLength, naming the wire source or observer, when its
+    length defeats the sinusoidal current normalization (k = 0 too),
+    DomainError for k < 0 or NaN, and DegenerateGeometry for collinear
+    wires whose spans touch or overlap, which Scene already rejects.
     """
-    return complex(_closed_form(*_one_pair(source, observer, same), k)[0])
+    return complex(_closed_form(*_one_pair(source, observer, same, k), k)[0])
 
 
 def mutual_impedance_oracle(
@@ -203,9 +206,9 @@ def mutual_impedance_oracle(
     Raises ResonantLength for guarded lengths and ConvergenceError if the
     quadrature budget runs out.
     """
-    rho, dz, h_p, h_q = (float(v[0]) for v in _one_pair(source, observer, same))
-    sin_p = _sin_or_raise(h_p, k, "source")
-    sin_q = _sin_or_raise(h_q, k, "observer")
+    rho, dz, h_p, h_q = (float(v[0])
+                         for v in _one_pair(source, observer, same, k))
+    sin_p, sin_q = np.sin(k * h_p), np.sin(k * h_q)
 
     def integrand(z):
         current = np.sin(k * (h_q - np.abs(z))) / sin_q
@@ -266,56 +269,50 @@ class ImpedanceSet:
 
 def _keyed_closed_form(table: np.ndarray, k: float) -> np.ndarray:
     """Kernel values of the pair_geometry rows of table, shape (M, 4), at
-    wavenumber k. Unless too few rows repeat their rho to pay for it, each
-    distinct row, compared bit for bit, is evaluated once. Rows run in
-    first-occurrence order, grouped by the PAIR_CHUNK block of their first
-    occurrence, so an error names the row a chunked pass would meet first."""
+    wavenumber k, computed in slices of PAIR_CHUNK rows. Unless too few
+    rows repeat their rho to pay for it, each distinct row, compared bit
+    for bit, is evaluated once, the distinct rows in any order."""
     # Keys save at most the rows whose rho repeats: under a quarter, the
     # key sort would cost about what it saves, so every row is its own key.
-    if 4 * np.unique(table[:, 0]).size > 3 * table.shape[0]:
-        first = inverse = np.arange(table.shape[0])
-    else:
+    inverse = slice(None)
+    if 4 * np.unique(table[:, 0]).size <= 3 * table.shape[0]:
         keys = table.view(np.dtype((np.void, table.itemsize * table.shape[1])))
         _, first, inverse = np.unique(keys.ravel(), return_index=True,
                                       return_inverse=True)
-    order = np.argsort(first)  # distinct rows in first-occurrence order
-    bounds = np.unique(np.searchsorted(
-        first[order], np.arange(0, table.shape[0] + PAIR_CHUNK, PAIR_CHUNK)))
-    distinct = np.empty(first.size, dtype=complex)
-    for lo, hi in zip(bounds, bounds[1:]):
-        rows = order[lo:hi]
-        distinct[rows] = _closed_form(*table[first[rows]].T.copy(), k)
-    return distinct[inverse]
+        table = table[first]
+    return np.concatenate([_closed_form(*table[lo:lo + PAIR_CHUNK].T.copy(), k)
+                           for lo in range(0, len(table), PAIR_CHUNK)])[inverse]
 
 
 def assemble_impedances(*scenes: Scene) -> list[ImpedanceSet]:
     """Compute the coupling impedances of each scene, one ImpedanceSet each.
 
     Uses the closed form for every pair, collinear ones included; no
-    quadrature runs. z_rt is one mutual_impedance call per distinct
-    (transmitter, receiver, wavenumber), Dipoles compared by value, so
-    the scenes of a spacing or n_elements sweep share one call. The
-    other 2N + N(N+1)/2 pairs of the scenes that share a wavenumber go
-    through _keyed_closed_form together, wavenumbers in order of first
-    appearance. So each distinct pair is evaluated once, and an error
-    names the pair a chunked pass over all pairs would meet first. The
-    upper triangle of z_ss is mirrored; reciprocity of the underlying
-    formula is covered by tests.
+    quadrature runs. Each scene's N + 2 wires are checked first, before
+    any kernel work: ResonantLength names the first failing wire by its
+    role (transmitter, receiver, surface[i]). z_rt is one mutual_impedance
+    call per distinct (transmitter, receiver, wavenumber), Dipoles
+    compared by value, so the scenes of a spacing or n_elements sweep
+    share one call. The other 2N + N(N+1)/2 pairs of the scenes that
+    share a wavenumber go through _keyed_closed_form together, so each
+    distinct pair is evaluated once. The upper triangle of z_ss is
+    mirrored; reciprocity of the underlying formula is covered by tests.
     """
-    z_rt = {}
-    for scene in scenes:
-        link = (scene.transmitter, scene.receiver, scene.wavenumber)
-        if link not in z_rt:
-            z_rt[link] = mutual_impedance(*link)
     tables = []
     for scene in scenes:
         n = scene.n_elements
         wires = (scene.transmitter, scene.receiver) + scene.surface
+        _check_lengths(wires, scene.wavenumber, wire_name)
         element = np.arange(2, n + 2)
         q, p = np.triu_indices(n)  # z_ss[q, p] couples source p to observer q
         src = np.concatenate([np.zeros(n, int), element, p + 2])
         obs = np.concatenate([element, np.ones(n, int), q + 2])
         tables.append(np.column_stack(pair_geometry(wires, src, obs)))
+    z_rt = {}
+    for scene in scenes:
+        link = (scene.transmitter, scene.receiver, scene.wavenumber)
+        if link not in z_rt:
+            z_rt[link] = mutual_impedance(*link)
     values = {}
     for k in dict.fromkeys(scene.wavenumber for scene in scenes):
         group = [i for i, scene in enumerate(scenes) if scene.wavenumber == k]

@@ -309,6 +309,8 @@ class TestOptimizer:
             optimize_tuning(imps, init, budget=0)
         with pytest.raises(DomainError):
             optimize_tuning(imps, init, budget=2.0)
+        with pytest.raises(DomainError):
+            optimize_tuning(imps, init, budget=True)
         with pytest.raises(DomainError, match="within"):
             optimize_tuning(imps, TuningState.from_reactances([3000.0]))
         with pytest.raises(DomainError, match="within"):

@@ -228,6 +228,8 @@ class TestBuildGrid:
         with pytest.raises(GeometryError):
             build_grid(2.0, 2, spacing=0.1, half_length=0.25, radius=0.001)
         with pytest.raises(GeometryError):
+            build_grid(True, 2, spacing=0.1, half_length=0.25, radius=0.001)
+        with pytest.raises(GeometryError):
             build_grid(1, 1, spacing=-0.1, half_length=0.25, radius=0.001)
         with pytest.raises(GeometryError):
             build_grid(1, 1, spacing=0.1, half_length=0.25, radius=0.001,

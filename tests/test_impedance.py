@@ -268,10 +268,14 @@ class TestMutualImpedance:
     def test_resonant_length_raises(self):
         p = Dipole(center=(0, 0, 0), half_length=LAM / 2, radius=LAM / 2000)
         q = half_wave(x=LAM)
-        with pytest.raises(ResonantLength):
-            mutual_impedance(p, q, K)
-        with pytest.raises(ResonantLength):
+        with pytest.raises(ResonantLength, match=r"^observer half-length"):
             mutual_impedance(q, p, K)
+        with pytest.raises(ResonantLength, match=r"^source half-length"):
+            mutual_impedance(p, q, K)
+        with pytest.raises(ResonantLength, match=r"^source half-length"):
+            mutual_impedance(p, p, K, same=True)
+        with pytest.raises(ResonantLength, match=r"^observer half-length"):
+            mutual_impedance_oracle(q, p, K)
         # every current normalization vanishes at k = 0
         with pytest.raises(ResonantLength):
             mutual_impedance(q, half_wave(x=2 * LAM), 0.0)
@@ -578,18 +582,16 @@ class TestArrayKernel:
             assert _same_bits(imps, assemble_impedances(scene)[0])
         assert assemble_impedances() == []
 
-    @pytest.mark.parametrize("chunk, receiver, message", [
-        (1024, LAM / 4, "source half-length 0.499654 m"),
-        (5, LAM / 4, "observer half-length 0.499654 m"),
-        (5, LAM, "observer half-length 0.999308 m"),
-    ], ids=["one-chunk", "5-pair-chunks", "resonant-receiver"])
-    def test_resonant_wires_name_the_first_pair_a_chunked_pass_meets(
+    @pytest.mark.parametrize("chunk", [1024, 5])
+    @pytest.mark.parametrize("receiver, message", [
+        (LAM / 4, "surface[0] half-length 0.499654 m"),
+        (LAM, "receiver half-length 0.999308 m"),
+    ], ids=["surface", "receiver"])
+    def test_resonant_wire_is_named_by_scene_role(
             self, monkeypatch, chunk, receiver, message):
-        # wires 0 and 4 mirror each other about the transmitter, so the
-        # transmitter rows repeat keys; with 5-pair chunks the first chunk
-        # holds only transmitter rows, and the message must still come
-        # from them, not from the wire-to-receiver rows after them. z_rt
-        # comes first, so a resonant receiver is named before any wire.
+        # surface[0] and surface[4] are resonant; the wires are checked
+        # in scene order, transmitter and receiver first, so the message
+        # does not depend on how the kernel chunks the pairs
         half = [0.5, 0.23, 0.23, 0.23, 0.5]
         surface = tuple(Dipole(((i - 2) * LAM / 4, 0.0, 0.0), h * LAM,
                                0.002 * LAM) for i, h in enumerate(half))
@@ -603,6 +605,27 @@ class TestArrayKernel:
             f"{message} sits within the guard band of a current-"
             f"normalization zero (|sin(k*h)| = {sin}); change the length "
             "or the frequency")
+
+    def test_resonant_scene_raises_before_any_kernel_call(self, monkeypatch):
+        # the good scene comes first, yet neither its z_rt nor its pairs
+        # reach the kernel: every scene's wires are checked beforehand
+        grid = build_grid(2, 2, spacing=LAM / 8, half_length=0.23 * LAM,
+                          radius=0.002 * LAM)
+        good = Scene(half_wave(y=-3.0), half_wave(y=3.0), grid, FREQ)
+        # at twice the frequency the half-wave transmitter is a full wave
+        resonant = Scene(good.transmitter, good.receiver, grid, 2 * FREQ)
+        calls, kernel = [], impedance._closed_form
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(impedance, "_closed_form", counting)
+        with pytest.raises(ResonantLength, match=r"^transmitter half-length"):
+            assemble_impedances(good, resonant)
+        assert calls == []
+        assemble_impedances(good)
+        assert len(calls) == 2  # z_rt, then one chunk of distinct pairs
 
 
 def _distinct_pair_rows(scene) -> int:
