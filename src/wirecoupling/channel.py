@@ -37,7 +37,7 @@ from .errors import DomainError, SingularSystem
 from .impedance import ImpedanceSet
 
 DEFAULT_REACTANCE_BOUNDS = (-2000.0, 2000.0)  # [ohm]
-DEFAULT_CONDITION_CAP = 1e12
+CONDITION_CAP = 1e12  # largest accepted 1-norm condition estimate
 DEFAULT_BUDGET = 20  # optimizer sweeps
 _RESIDUAL_REL_MAX = 1e-10
 # Relative margin on _rank1's O(N) norm bound, so that rounding in the
@@ -154,11 +154,7 @@ def _channel(imps: ImpedanceSet, solved) -> ChannelResult:
     return ChannelResult(h_e2e=h, gain_db=gain_db, condition_estimate=cond)
 
 
-def end_to_end(
-    imps: ImpedanceSet,
-    tuning: TuningState,
-    cond_cap: float = DEFAULT_CONDITION_CAP,
-) -> ChannelResult:
+def end_to_end(imps: ImpedanceSet, tuning: TuningState) -> ChannelResult:
     """Evaluate the transfer impedance for one tuning state.
 
     Solves (Z_ss + diag(tuning)) x = z_st by LU with partial pivoting,
@@ -166,11 +162,11 @@ def end_to_end(
     (unconjugated) dot product. Deterministic for fixed inputs.
 
     Raises SingularSystem when the factorization fails, the 1-norm
-    condition estimate exceeds cond_cap, or the residual will not shrink
+    condition estimate exceeds CONDITION_CAP, or the residual will not shrink
     below 1e-10 of the right-hand side; DomainError when the tuning does
     not match the surface or the gain is undefined.
     """
-    return _channel(imps, _solve(imps, tuning.entries, cond_cap))
+    return _channel(imps, _solve(imps, tuning.entries, CONDITION_CAP))
 
 
 @dataclass(frozen=True)
@@ -300,7 +296,6 @@ def optimize_tuning(
     imps: ImpedanceSet,
     init: TuningState,
     budget: int = DEFAULT_BUDGET,
-    cond_cap: float = DEFAULT_CONDITION_CAP,
     reactance_bounds: tuple[float, float] = DEFAULT_REACTANCE_BOUNDS,
 ) -> OptimizeResult:
     """Maximize |h_e2e| over per-element reactances in reactance_bounds.
@@ -338,7 +333,7 @@ def optimize_tuning(
     # sweep, and _channel raises the gain's DomainErrors up front.
     entries = init.entries.copy()
     try:
-        solved = _solve(imps, entries, cond_cap)
+        solved = _solve(imps, entries, CONDITION_CAP)
     except SingularSystem as exc:
         raise SingularSystem(
             f"every probed tuning state failed to solve: the initial "
@@ -361,10 +356,11 @@ def optimize_tuning(
                 entries[idx] = current.real + 1j * target
                 proposal = None if checked else _rank1(
                     imps, norms, entries, state, idx, target - current.imag,
-                    cond_cap)
+                    CONDITION_CAP)
                 if proposal is None:
                     with suppress(SingularSystem):
-                        proposal = _inverse(imps, _solve(imps, entries, cond_cap))
+                        proposal = _inverse(imps, _solve(imps, entries,
+                                                         CONDITION_CAP))
                 if proposal is not None and abs(proposal[3]) > abs(state[3]):
                     state = proposal
                 else:
@@ -372,7 +368,8 @@ def optimize_tuning(
             if checked or state is start_state:
                 break
             with suppress(SingularSystem):  # one checked solve per sweep
-                refreshed = _inverse(imps, _solve(imps, entries, cond_cap))
+                refreshed = _inverse(imps, _solve(imps, entries,
+                                                  CONDITION_CAP))
                 if abs(refreshed[3]) > trace[-1]:
                     state = refreshed
                     break
@@ -383,5 +380,5 @@ def optimize_tuning(
 
     final_state = TuningState(entries)
     return OptimizeResult(tuning=final_state,
-                          channel=end_to_end(imps, final_state, cond_cap),
+                          channel=end_to_end(imps, final_state),
                           trace=tuple(trace), stop_reason=stop_reason)

@@ -78,8 +78,8 @@ def _out_dir(cfg: SceneConfig, args) -> Path:
 
 
 def _cmd_impedance(cfg: SceneConfig, args) -> int:
-    out = _out_dir(cfg, args)
     imps = assemble_impedances(cfg.scene)[0]
+    out = _out_dir(cfg, args)
     _write_complex_csv(out / "z_ss.csv", imps.z_ss)
     _write_complex_csv(out / "z_rs.csv", imps.z_rs)
     _write_complex_csv(out / "z_st.csv", imps.z_st)

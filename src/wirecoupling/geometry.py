@@ -21,8 +21,6 @@ SPEED_OF_LIGHT = 299_792_458.0  # [m/s], exact by definition
 # hard slenderness margin instead of degrading silently.
 THIN_WIRE_RATIO = 0.1  # radius must stay below this fraction of half_length
 
-_OVERLAP_ROWS = 256  # rows per block of the pairwise overlap check
-
 
 def wavelength(frequency_hz: float) -> float:
     """Free-space wavelength in meters."""
@@ -106,21 +104,19 @@ def _first_overlap(wires) -> tuple[int, int] | None:
 
     Two parallel wires collide when their axes come closer than the sum of
     the radii while their z spans intersect. "First" is the smallest i,
-    then the smallest j. Rows are checked against all wires in blocks of
-    _OVERLAP_ROWS, so each distance table holds _OVERLAP_ROWS x N entries.
+    then the smallest j.
     """
     centers, half, radius = _wire_arrays(wires)
     n = len(wires)
-    for start in range(0, n, _OVERLAP_ROWS):
-        i = np.arange(start, min(start + _OVERLAP_ROWS, n))[:, None]
-        d = centers - centers[i]
-        hit = ((np.arange(n) > i)
-               & (np.hypot(d[..., 0], d[..., 1]) <= radius[i] + radius)
-               & (np.abs(d[..., 2]) <= half[i] + half))
-        if hit.any():
-            row, col = np.unravel_index(np.argmax(hit), hit.shape)
-            return start + int(row), int(col)
-    return None
+    i = np.arange(n)[:, None]
+    d = centers - centers[i]
+    hit = ((np.arange(n) > i)
+           & (np.hypot(d[..., 0], d[..., 1]) <= radius[i] + radius)
+           & (np.abs(d[..., 2]) <= half[i] + half))
+    if not hit.any():
+        return None
+    row, col = np.unravel_index(np.argmax(hit), hit.shape)
+    return int(row), int(col)
 
 
 def wire_name(index: int) -> str:

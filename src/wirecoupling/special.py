@@ -25,6 +25,7 @@ _MIN_REAL = -600.0          # exp(-c) overflows well past this, E1 ~ 1e260
 # to a relative error of about eps*x, so exp1 takes over above x = 40;
 # sici costs about a tenth of the complex exp1 per argument.
 SICI_CROSSOVER = 40.0
+_MAX_INTERVALS = 10_000     # adaptive_quad's subinterval budget
 
 
 def exp_integral_e1(c):
@@ -137,7 +138,6 @@ def adaptive_quad(
     a: float,
     b: float,
     rel_tol: float = 1e-9,
-    max_intervals: int = 10_000,
 ) -> complex:
     """Integrate a complex-valued f over [a, b] to a relative tolerance.
 
@@ -147,7 +147,7 @@ def adaptive_quad(
     error estimate drops below rel_tol times the magnitude of the running
     integral, or when further refinement cannot beat roundoff.
 
-    Raises ConvergenceError when max_intervals subintervals are in play
+    Raises ConvergenceError when _MAX_INTERVALS subintervals are in play
     and the tolerance still is not met; DomainError for a malformed
     interval, tolerance, or integrand output.
     """
@@ -170,11 +170,11 @@ def adaptive_quad(
         # Roundoff floor: no subdivision can improve on this.
         if err_total <= 50.0 * np.finfo(float).eps * abs_total:
             break
-        if len(heap) >= max_intervals:
+        if len(heap) >= _MAX_INTERVALS:
             raise ConvergenceError(
                 f"adaptive_quad: error {err_total:.3e} above requested "
                 f"{rel_tol:.1e} * |I| = {rel_tol * abs(total):.3e} after "
-                f"{max_intervals} subintervals"
+                f"{_MAX_INTERVALS} subintervals"
             )
         neg_err, _, lo, hi, est = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)

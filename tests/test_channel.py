@@ -129,7 +129,7 @@ class TestEndToEnd:
         with pytest.raises(SingularSystem):
             end_to_end(imps, TuningState.from_reactances([0.0, 0.0]))
 
-    def test_condition_cap_rejects_near_singular_system(self):
+    def test_condition_cap_rejects_near_singular_system(self, monkeypatch):
         eps = 1e-13
         imps = ImpedanceSet(
             z_rt=3.0,
@@ -140,9 +140,40 @@ class TestEndToEnd:
         tuning = TuningState.from_reactances([0.0, 0.0])
         with pytest.raises(SingularSystem, match="condition"):
             end_to_end(imps, tuning)
-        # the same system passes once the caller raises the cap
-        result = end_to_end(imps, tuning, cond_cap=1e16)
+        # the same system passes under a cap of 1e16
+        monkeypatch.setattr(wirecoupling.channel, "CONDITION_CAP", 1e16)
+        result = end_to_end(imps, tuning)
         assert result.condition_estimate > 1e12
+
+    @staticmethod
+    def shift_lu_solve(monkeypatch, count):
+        # lu_solve whose first count solutions are off by 1e-6 in every
+        # entry, far above the residual gate; returns the call log
+        solve, calls = wirecoupling.channel.lu_solve, []
+
+        def shifted(*args, **kwargs):
+            calls.append(1)
+            x = solve(*args, **kwargs)
+            return x + 1e-6 if len(calls) <= count else x
+
+        monkeypatch.setattr(wirecoupling.channel, "lu_solve", shifted)
+        return calls
+
+    def test_refinement_recovers_a_perturbed_solve(self, monkeypatch):
+        imps = grid_imps()
+        tuning = TuningState.from_reactances(np.full(16, -100.0))
+        expected = end_to_end(imps, tuning)
+        calls = self.shift_lu_solve(monkeypatch, 1)
+        result = end_to_end(imps, tuning)
+        assert len(calls) == 2  # the solve and one refinement round
+        assert result.h_e2e == pytest.approx(expected.h_e2e, rel=1e-12, abs=0)
+
+    def test_refinement_that_cannot_recover_raises(self, monkeypatch):
+        imps = grid_imps()
+        tuning = TuningState.from_reactances(np.full(16, -100.0))
+        self.shift_lu_solve(monkeypatch, math.inf)
+        with pytest.raises(SingularSystem, match="solve residual"):
+            end_to_end(imps, tuning)
 
     def test_condition_estimate_for_diagonal_system(self):
         imps = ImpedanceSet(
@@ -546,9 +577,12 @@ class TestOptimizer:
         monkeypatch.setattr(channel, "_rank1", recording)
         imps = grid_imps()
         init = TuningState.from_reactances(np.zeros(16))
-        cap = 3.0 * end_to_end(imps, init).condition_estimate
-        optimize_tuning(imps, init, budget=3, cond_cap=cap)
+        default = channel.CONDITION_CAP
+        monkeypatch.setattr(channel, "CONDITION_CAP",
+                            3.0 * end_to_end(imps, init).condition_estimate)
+        optimize_tuning(imps, init, budget=3)
         assert any(refused)
+        monkeypatch.setattr(channel, "CONDITION_CAP", default)
         monkeypatch.setattr(channel, "_solve", failing_once)
         optimize_tuning(imps, init, budget=3)
         assert len(calls) == 21  # the redo ran
@@ -570,6 +604,26 @@ class TestOptimizer:
             warnings.simplefilter("error")
             assert channel._rank1(imps, channel._norms(imps), entries,
                                   (inv, *rest), 5, t, 1e12) is None
+
+    @pytest.mark.parametrize("corruption", [1e-6, math.nan],
+                             ids=["residual", "non-finite"])
+    def test_rank1_refuses_a_corrupted_state(self, corruption):
+        # An x that no longer solves the system fails the residual gate,
+        # a nan in it the finiteness check: either way the step says None
+        # and writes into none of the state's arrays.
+        channel = wirecoupling.channel
+        imps = grid_imps()
+        entries = np.zeros(16, dtype=complex)
+        inv, x, *rest = channel._inverse(imps,
+                                         channel._solve(imps, entries, 1e12))
+        x = x.copy()
+        x[5] += corruption
+        state = (inv, x, *rest)
+        arrays = [a.tobytes() for a in state[:3]]
+        entries[5] = 150.0j
+        assert channel._rank1(imps, channel._norms(imps), entries, state, 5,
+                              150.0, 1e12) is None
+        assert [a.tobytes() for a in state[:3]] == arrays
 
     @pytest.mark.parametrize("side, budget, factorizations, gain_db", [
         (4, 20, 22, 4.328330703679251),
@@ -598,23 +652,25 @@ class TestOptimizer:
         assert len(calls) == factorizations
         assert result.channel.gain_db == pytest.approx(gain_db, rel=1e-12)
 
-    def test_condition_cap_rejects_probes_mid_run(self):
+    def test_condition_cap_rejects_probes_mid_run(self, monkeypatch):
         # A cap of three times the starting estimate lets the run start
         # but refuses some of the proposed moves along the way.
         imps = grid_imps()
         init = TuningState.from_reactances(np.zeros(16))
         cap = 3.0 * end_to_end(imps, init).condition_estimate
-        result = optimize_tuning(imps, init, cond_cap=cap)
+        monkeypatch.setattr(wirecoupling.channel, "CONDITION_CAP", cap)
+        result = optimize_tuning(imps, init)
         assert result.channel.condition_estimate <= cap
         assert np.all(np.diff(result.trace) >= 0.0)
         assert result.channel.gain_db == pytest.approx(3.4802222587, abs=1e-9)
 
-    def test_unsolvable_everywhere_raises(self):
+    def test_unsolvable_everywhere_raises(self, monkeypatch):
         imps = single_element_imps()
         init = TuningState.from_reactances([0.0])
         # a condition cap below 1 rejects every linear solve
+        monkeypatch.setattr(wirecoupling.channel, "CONDITION_CAP", 0.5)
         with pytest.raises(SingularSystem, match="every probed"):
-            optimize_tuning(imps, init, cond_cap=0.5)
+            optimize_tuning(imps, init)
 
 
 class TestRealRoots:

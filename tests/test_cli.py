@@ -152,11 +152,22 @@ class TestImpedanceCommand:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_resonant_scene_exits_2(self, tmp_path, capsys):
+        # a resonant surface element or transmitter fails assembly, which
+        # runs before the output directory is made
+        out = tmp_path / "o"
         data = grid_config(rows=1, cols=2, spacing=0.5)
         data["surface"]["grid"]["half_length"] = 0.5  # k*h = pi
         cfg_path = write_config(tmp_path, data)
-        assert main(["impedance", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        assert main(["impedance", cfg_path, "--out", str(out)]) == 2
         assert "numerical error" in capsys.readouterr().err
+        assert not out.exists()
+
+        data = grid_config()
+        data["transmitter"]["half_length"] = 0.5
+        cfg_path = write_config(tmp_path, data, "tx.json")
+        assert main(["impedance", cfg_path, "--out", str(out)]) == 2
+        assert "transmitter" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_exits_1(self, tmp_path, capsys):
         data = elements_config()

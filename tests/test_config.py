@@ -120,25 +120,46 @@ class TestParse:
         assert parse_scene_config(data).output_dir == "runs/a"
 
     def test_error_paths_name_the_field(self):
-        data = elements_config()
-        del data["transmitter"]["radius"]
-        with pytest.raises(ConfigError, match="transmitter.radius"):
-            parse_scene_config(data)
-
-        data = elements_config()
-        data["receiver"]["half_length"] = -1.0
-        with pytest.raises(ConfigError, match="receiver.half_length"):
-            parse_scene_config(data)
-
-        data = elements_config()
-        data["surface"]["elements"][1]["center"] = [0.25, 0.0]
-        with pytest.raises(ConfigError, match=r"surface.elements\[1\].center"):
-            parse_scene_config(data)
-
-        data = elements_config()
-        data["frequency_hz"] = "fast"
-        with pytest.raises(ConfigError, match="frequency_hz"):
-            parse_scene_config(data)
+        drop = object()
+        cases = [  # (document, path to the value, new value, message)
+            (elements_config, ("transmitter", "radius"), drop,
+             "transmitter.radius: missing"),
+            (elements_config, ("receiver", "half_length"), -1.0,
+             "receiver.half_length: must be positive"),
+            (elements_config, ("surface", "elements", 1, "center"),
+             [0.25, 0.0], "surface.elements[1].center: must be a list"),
+            (elements_config, ("frequency_hz",), "fast",
+             "frequency_hz: must be a number"),
+            (elements_config, ("transmitter", "center", 0), math.inf,
+             "transmitter.center[0]: must be finite"),
+            (grid_config, ("surface", "grid", "rows"), 1.5,
+             "surface.grid.rows: must be an integer"),
+            (grid_config, ("surface", "grid", "rows"), 0,
+             "surface.grid.rows: must be at least 1"),
+            (grid_config, ("lambda_units",), "yes",
+             "lambda_units: must be true or false"),
+            (elements_config, ("surface", "elements"), [],
+             "surface.elements: must be a non-empty list"),
+            (grid_config, ("surface", "grid", "plane"), "yz",
+             "surface.grid.plane: must be"),
+            (grid_config, ("tuning", "entries"), [],
+             "tuning.entries: must be a non-empty list"),
+            (grid_config, ("tuning",), {"optimize": {"reactance_bounds": [1]}},
+             "tuning.optimize.reactance_bounds: must be [lo, hi]"),
+            (elements_config, ("output",), {"directory": ""},
+             "output.directory: must be a non-empty string"),
+        ]
+        for document, path, value, message in cases:
+            data = document()
+            parent = data
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is drop:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                parse_scene_config(data)
 
     def test_surface_needs_exactly_one_flavor(self):
         data = elements_config()
@@ -218,6 +239,8 @@ class TestSweepResolution:
         scene = resolve_sweep_scene(cfg, "spacing", 0.125 * LAM)
         assert scene.n_elements == 16
         assert scene.surface == cfg.scene.surface
+        with pytest.raises(ConfigError, match="positive"):
+            resolve_sweep_scene(cfg, "spacing", -0.1)
 
     def test_frequency_keeps_geometry(self):
         cfg = parse_scene_config(grid_config())

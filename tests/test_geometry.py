@@ -21,7 +21,7 @@ FREQ = 3.0e8  # [Hz], lambda very close to 1 m
 
 
 def first_overlap_loop(wires):
-    # pairwise reference for the blocked check in _first_overlap
+    # pairwise reference for the array check in _first_overlap
     for i, p in enumerate(wires):
         for j in range(i + 1, len(wires)):
             q = wires[j]
@@ -272,10 +272,8 @@ class TestScene:
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_first_overlap_matches_pairwise_loop(seed, monkeypatch):
-    # crowded random wires, most seeds with several collisions, checked in
-    # blocks of 7 rows so that the first one can sit in any block
-    monkeypatch.setattr(geometry, "_OVERLAP_ROWS", 7)
+def test_first_overlap_matches_pairwise_loop(seed):
+    # crowded random wires, most seeds with several collisions
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 60))
     spread = rng.uniform(0.005, 0.1)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from wirecoupling import ConvergenceError, DomainError, exp_integral_e1
+import wirecoupling.special
 from wirecoupling.special import SICI_CROSSOVER, adaptive_quad
 
 
@@ -181,13 +182,12 @@ class TestAdaptiveQuad:
         exact = (np.exp(1j * w) - 1.0) / (1j * w)
         assert abs(value - exact) <= 1e-9 * abs(exact)
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
         # sin(1/u)/u oscillates without bound toward 0; a tight tolerance
         # cannot be met within the interval budget.
-        with pytest.raises(ConvergenceError):
-            adaptive_quad(
-                lambda u: np.sin(1.0 / u) / u, 1e-8, 1.0, 1e-13, max_intervals=2000
-            )
+        monkeypatch.setattr(wirecoupling.special, "_MAX_INTERVALS", 2000)
+        with pytest.raises(ConvergenceError, match="2000 subintervals"):
+            adaptive_quad(lambda u: np.sin(1.0 / u) / u, 1e-8, 1.0, 1e-13)
 
     def test_rejects_bad_interval_and_tolerance(self):
         with pytest.raises(DomainError):
