@@ -128,11 +128,11 @@ def _solve(imps: ImpedanceSet, entries: np.ndarray, cond_cap: float):
     rhs = imps.z_st
     x = lu_solve((lu, piv), rhs, check_finite=False)
     rhs_norm = dznrm2(rhs)
-    residual = dznrm2(_residual(system, x, rhs))
+    r = _residual(system, x, rhs)
+    residual = dznrm2(r)
     if residual > _RESIDUAL_REL_MAX * rhs_norm:
         # One round of iterative refinement usually recovers the digits.
-        x = x - lu_solve((lu, piv), _residual(system, x, rhs),
-                         check_finite=False)
+        x = x - lu_solve((lu, piv), r, check_finite=False)
         residual = dznrm2(_residual(system, x, rhs))
         if residual > _RESIDUAL_REL_MAX * rhs_norm:
             raise SingularSystem(

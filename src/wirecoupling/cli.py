@@ -92,35 +92,26 @@ def _cmd_impedance(cfg: SceneConfig, args) -> int:
     return 0
 
 
-def _tuning(cfg: SceneConfig, scene, command: str):
-    """Fixed tuning sized to the scene by tuning_for_scene, or None under
-    an optimize directive; ConfigError, before assembly, if it is absent."""
-    if cfg.optimize is None and cfg.tuning is None:
-        raise ConfigError(
-            f"tuning: required by the {command} command (fixed entries or "
-            f"an optimize directive)"
-        )
-    return None if cfg.optimize is not None else tuning_for_scene(cfg, scene)
-
-
-def _tuned_channel(cfg: SceneConfig, imps, tuning):
-    """(channel, optimize result or None) under the tuning directive; an
-    optimize directive starts from zero reactance clipped into its bounds."""
-    spec = cfg.optimize
-    if spec is None:
-        return end_to_end(imps, tuning), None
-    lo, hi = spec.reactance_bounds
+def _tuned_channel(imps, directive):
+    """(channel, optimize result or None) under a tuning_for_scene
+    directive: fixed loads, or an optimizer run that starts from zero
+    reactance clipped into its bounds."""
+    if isinstance(directive, TuningState):
+        return end_to_end(imps, directive), None
+    lo, hi = directive.reactance_bounds
     init = TuningState.from_reactances(
         np.full(imps.n_elements, min(max(0.0, lo), hi)))
-    opt = optimize_tuning(imps, init, budget=spec.budget,
-                          reactance_bounds=spec.reactance_bounds)
+    opt = optimize_tuning(imps, init, budget=directive.budget,
+                          reactance_bounds=directive.reactance_bounds)
     return opt.channel, opt
 
 
 def _cmd_channel(cfg: SceneConfig, args) -> int:
-    tuning = _tuning(cfg, cfg.scene, "channel")
-    result, opt = _tuned_channel(cfg, assemble_impedances(cfg.scene)[0],
-                                 tuning)
+    if cfg.tuning is None:
+        raise ConfigError("tuning: required by the channel command (fixed "
+                          "entries or an optimize directive)")
+    result, opt = _tuned_channel(assemble_impedances(cfg.scene)[0],
+                                 tuning_for_scene(cfg, cfg.scene))
     out = _out_dir(cfg, args)
     payload = {
         "h_e2e_re_ohm": result.h_e2e.real,
@@ -146,7 +137,7 @@ def _cmd_channel(cfg: SceneConfig, args) -> int:
     return 0
 
 
-def _sweep_batch(cfg: SceneConfig, batch, cells):
+def _sweep_batch(batch, cells):
     """Set the cells of the (index, scene, tuning) points of batch, all
     assembled in one call. If that call raises, the points are assembled
     one at a time, so a row's status is the first error its point raises."""
@@ -157,7 +148,7 @@ def _sweep_batch(cfg: SceneConfig, batch, cells):
     for j, (i, scene, tuning) in enumerate(batch):
         try:
             imps = sets[j] if sets else assemble_impedances(scene)[0]
-            result = _tuned_channel(cfg, imps, tuning)[0]
+            result = _tuned_channel(imps, tuning)[0]
         except WireCouplingError as exc:
             cells[i] = f",,,,,{type(exc).__name__}"
             continue
@@ -167,6 +158,9 @@ def _sweep_batch(cfg: SceneConfig, batch, cells):
 
 
 def _cmd_sweep(cfg: SceneConfig, args) -> int:
+    if cfg.tuning is None:
+        raise ConfigError("tuning: required by the sweep command (fixed "
+                          "entries or an optimize directive)")
     if args.points < 1:
         raise ConfigError("sweep --points must be at least 1")
     if not math.isfinite(args.stop - args.start):
@@ -180,17 +174,17 @@ def _cmd_sweep(cfg: SceneConfig, args) -> int:
     for i, value in enumerate(values):
         try:
             scene = resolve_sweep_scene(cfg, args.parameter, value)
-            point = (i, scene, _tuning(cfg, scene, "sweep"))
+            point = (i, scene, tuning_for_scene(cfg, scene))
         except WireCouplingError as exc:
             cells[i] = f",,,,,{type(exc).__name__}"
             continue
         size = scene.n_elements * (scene.n_elements + 5) // 2
         if batch and rows + size > SWEEP_BATCH_PAIRS:
-            _sweep_batch(cfg, batch, cells)
+            _sweep_batch(batch, cells)
             batch, rows = [], 0
         batch.append(point)
         rows += size
-    _sweep_batch(cfg, batch, cells)
+    _sweep_batch(batch, cells)
     failures = sum(not c.endswith(",ok") for c in cells)
     lines = ["index,parameter,value,n_elements,"
              "h_e2e_re_ohm,h_e2e_im_ohm,h_e2e_abs_ohm,gain_db,status"]
@@ -336,12 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_scene_config(args.config)
-    except (ConfigError, GeometryError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return args.handler(cfg, args)
+        return args.handler(load_scene_config(args.config), args)
     except (ConfigError, GeometryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

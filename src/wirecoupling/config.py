@@ -64,12 +64,12 @@ class OptimizeSpec:
 
 @dataclass(frozen=True, eq=False)
 class SceneConfig:
-    """A parsed configuration: the scene plus tuning instructions."""
+    """A parsed configuration: the scene plus its tuning directive, fixed
+    loads or an optimizer run (None when the file has no tuning section)."""
 
     scene: Scene
     grid: GridSpec | None
-    tuning: TuningState | None
-    optimize: OptimizeSpec | None
+    tuning: TuningState | OptimizeSpec | None
     output_dir: str | None = None
 
 
@@ -185,7 +185,7 @@ def _surface(value, path: str, scale: float):
     return build_grid(**dataclasses.asdict(spec)), spec
 
 
-def _tuning(value, path: str, n_elements: int):
+def _tuning(value, path: str, n_elements: int) -> TuningState | OptimizeSpec:
     _fields(value, path, ("entries", "optimize"),
             'an object holding "entries" or "optimize"')
     has_entries = "entries" in value
@@ -209,7 +209,7 @@ def _tuning(value, path: str, n_elements: int):
         ]
         if len(entries) == 1:
             entries = entries * n_elements
-        return TuningState(np.array(entries)), None
+        return TuningState(np.array(entries))
 
     opath = f"{path}.optimize"
     o = _fields(value["optimize"], opath, ("reactance_bounds", "budget"))
@@ -222,11 +222,10 @@ def _tuning(value, path: str, n_elements: int):
     if not lo < hi:
         _fail(f"{opath}.reactance_bounds", "must satisfy lo < hi")
     budget = _get(o, "budget", opath, required=False, default=DEFAULT_BUDGET)
-    spec = OptimizeSpec(
+    return OptimizeSpec(
         reactance_bounds=(lo, hi),
         budget=_integer(budget, f"{opath}.budget", minimum=1),
     )
-    return None, spec
 
 
 def parse_scene_config(data, source: str = "<config>") -> SceneConfig:
@@ -257,10 +256,10 @@ def parse_scene_config(data, source: str = "<config>") -> SceneConfig:
         frequency_hz=frequency,
     )
 
-    tuning = optimize = None
+    tuning = None
     tuning_raw = _get(data, "tuning", "", required=False)
     if tuning_raw is not None:
-        tuning, optimize = _tuning(tuning_raw, "tuning", len(elements))
+        tuning = _tuning(tuning_raw, "tuning", len(elements))
 
     output_dir = None
     output_raw = _get(data, "output", "", required=False)
@@ -273,7 +272,7 @@ def parse_scene_config(data, source: str = "<config>") -> SceneConfig:
             output_dir = directory
 
     return SceneConfig(scene=scene, grid=grid, tuning=tuning,
-                       optimize=optimize, output_dir=output_dir)
+                       output_dir=output_dir)
 
 
 def load_scene_config(path) -> SceneConfig:
@@ -288,6 +287,10 @@ def load_scene_config(path) -> SceneConfig:
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         )
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})")
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply")
     return parse_scene_config(data, source=str(path))
 
 
@@ -352,14 +355,16 @@ def resolve_sweep_scene(cfg: SceneConfig, parameter: str, value: float) -> Scene
     return dataclasses.replace(cfg.scene, surface=elements)
 
 
-def tuning_for_scene(cfg: SceneConfig, scene: Scene) -> TuningState | None:
-    """Fixed tuning entries sized for a (possibly re-gridded) scene.
+def tuning_for_scene(cfg: SceneConfig,
+                     scene: Scene) -> TuningState | OptimizeSpec | None:
+    """The tuning directive for a (possibly re-gridded) scene.
 
-    A single configured entry broadcasts to any element count; a full
-    vector only fits scenes with the matching count.
+    Fixed entries are resized: a single configured entry broadcasts to any
+    element count; a full vector only fits scenes with the matching
+    count. An optimize directive, or None, passes through unchanged.
     """
-    if cfg.tuning is None:
-        return None
+    if not isinstance(cfg.tuning, TuningState):
+        return cfg.tuning
     entries = cfg.tuning.entries
     n = scene.n_elements
     if entries.shape[0] == n:

@@ -215,6 +215,17 @@ class TestEndToEnd:
         with pytest.raises(DomainError, match="gain"):
             end_to_end(imps, TuningState.from_reactances([0.0]))
 
+    def test_vanishing_transfer_impedance_raises(self):
+        # x = z_st / z_ss = 1 under a zero load, so h = 1 - 1 = 0 exactly
+        imps = ImpedanceSet(
+            z_rt=1.0,
+            z_rs=np.array([1.0 + 0j]),
+            z_st=np.array([1.0 + 0j]),
+            z_ss=np.array([[1.0 + 0j]]),
+        )
+        with pytest.raises(DomainError, match="transfer impedance vanished"):
+            end_to_end(imps, TuningState.from_reactances([0.0]))
+
 
 def scalar_gain_profile(imps, reactances):
     # closed form |h(x)| for a 1-element surface, vectorized over x

@@ -179,6 +179,17 @@ class TestImpedanceCommand:
         cfg_path = write_config(tmp_path, {"frequency_hz": FREQ}, "two.json")
         assert main(["impedance", cfg_path]) == 1
 
+    @pytest.mark.parametrize("content", [b'{"frequency_hz": \xff}',
+                                         b"[" * 100_000],
+                             ids=["non-utf8", "too-deep"])
+    def test_unreadable_config_exits_1(self, tmp_path, capsys, content):
+        cfg_path = tmp_path / "scene.json"
+        cfg_path.write_bytes(content)
+        out = tmp_path / "o"
+        assert main(["channel", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {cfg_path}")
+        assert not out.exists()
+
 
 class TestChannelCommand:
     def test_single_element_matches_scalar_formula(self, tmp_path):
@@ -267,6 +278,13 @@ class TestChannelCommand:
         cfg_path = write_config(tmp_path, data)
         assert main(["channel", cfg_path]) == 0
         assert (tmp_path / "cfg_dir" / "channel.json").exists()
+
+    def test_working_directory_used_without_flag_or_config(self, tmp_path,
+                                                           monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg_path = write_config(tmp_path, elements_config(n=1))
+        assert main(["channel", cfg_path]) == 0
+        assert (tmp_path / "channel.json").exists()
 
 
 class TestSweepCommand:
@@ -388,6 +406,22 @@ class TestSweepCommand:
                      "--points", "2", "--out", str(out)]) == 0
         rows = read_sweep(out / "sweep.csv")
         assert [r[8] for r in rows] == ["GeometryError", "ok"]
+
+    def test_missing_tuning_exits_1(self, tmp_path, capsys, monkeypatch):
+        # as for channel: refused before any output and before assembly
+        def refuse(*scenes):
+            raise AssertionError("assembled a scene that has no tuning")
+
+        monkeypatch.setattr(cli, "assemble_impedances", refuse)
+        data = grid_config(rows=2, cols=2)
+        del data["tuning"]
+        out = tmp_path / "o"
+        assert main(["sweep", write_config(tmp_path, data), "--param",
+                     "spacing", "--from", repr(0.125 * LAM), "--to",
+                     repr(0.25 * LAM), "--points", "2",
+                     "--out", str(out)]) == 1
+        assert "tuning: required by the sweep command" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_point_count_exits_1(self, tmp_path):
         cfg_path = write_config(tmp_path, grid_config(rows=2, cols=2))

@@ -4,12 +4,15 @@ import copy
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wirecoupling import (
     ConfigError,
+    OptimizeSpec,
+    TuningState,
     build_grid,
     load_scene_config,
     parse_scene_config,
@@ -70,7 +73,6 @@ class TestParse:
         assert cfg.scene.frequency_hz == FREQ
         assert cfg.grid is None
         assert cfg.tuning is None
-        assert cfg.optimize is None
         assert cfg.output_dir is None
 
     def test_lambda_units_scale_all_lengths(self):
@@ -102,17 +104,16 @@ class TestParse:
         data = grid_config()
         data["tuning"] = {"optimize": {}}
         cfg = parse_scene_config(data)
-        assert cfg.tuning is None
-        assert cfg.optimize.reactance_bounds == (-2000.0, 2000.0)
-        assert cfg.optimize.budget == 20
+        assert cfg.tuning.reactance_bounds == (-2000.0, 2000.0)
+        assert cfg.tuning.budget == 20
 
     def test_optimize_custom_values(self):
         data = grid_config()
         data["tuning"] = {"optimize": {"reactance_bounds": [-500, 500],
                                        "budget": 5}}
         cfg = parse_scene_config(data)
-        assert cfg.optimize.reactance_bounds == (-500.0, 500.0)
-        assert cfg.optimize.budget == 5
+        assert cfg.tuning.reactance_bounds == (-500.0, 500.0)
+        assert cfg.tuning.budget == 5
 
     def test_output_directory(self):
         data = elements_config()
@@ -227,6 +228,48 @@ class TestLoad:
         with pytest.raises(ConfigError, match="cannot read"):
             load_scene_config(tmp_path / "absent.json")
 
+    def test_non_utf8_file_names_path(self, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'{"frequency_hz": 3e8, "x": "\xff"}')
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{path}: not UTF-8 text (byte 28)")):
+            load_scene_config(path)
+
+    def test_too_deep_nesting_names_path(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{path}: JSON nested too deeply")):
+            load_scene_config(path)
+
+
+def readme_example() -> tuple[dict, dict]:
+    """(example configuration, optimize fragment) from the README's
+    command-line section: its first and second json blocks."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    blocks = re.findall(r"```json\n(.*?)```", section, re.DOTALL)
+    return json.loads(blocks[0]), json.loads("{" + blocks[1] + "}")
+
+
+class TestReadmeExample:
+    def test_example_parses_as_written(self):
+        example, _ = readme_example()
+        cfg = parse_scene_config(example)
+        assert cfg.scene.n_elements == 16
+        assert isinstance(cfg.tuning, TuningState)
+        assert cfg.output_dir == example["output"]["directory"]
+
+    def test_example_with_optimize_fragment(self):
+        example, fragment = readme_example()
+        assert set(fragment) == {"tuning"}
+        cfg = parse_scene_config({**example, **fragment})
+        assert isinstance(cfg.tuning, OptimizeSpec)
+        optimize = fragment["tuning"]["optimize"]
+        assert cfg.tuning.reactance_bounds == tuple(optimize["reactance_bounds"])
+        assert cfg.tuning.budget == optimize["budget"]
+
 
 class TestSweepResolution:
     def test_spacing_holds_aperture_fixed(self):
@@ -300,3 +343,10 @@ class TestTuningForScene:
     def test_absent_tuning_passes_through(self):
         cfg = parse_scene_config(elements_config())
         assert tuning_for_scene(cfg, cfg.scene) is None
+
+    def test_optimize_directive_passes_through(self):
+        data = grid_config()
+        data["tuning"] = {"optimize": {"budget": 5}}
+        cfg = parse_scene_config(data)
+        shrunk = resolve_sweep_scene(cfg, "spacing", 0.5 * LAM)
+        assert tuning_for_scene(cfg, shrunk) is cfg.tuning

@@ -197,6 +197,10 @@ class TestAdaptiveQuad:
         with pytest.raises(DomainError):
             adaptive_quad(lambda u: u, 0.0, 1.0, 0.0)
 
+    def test_rejects_scalar_integrand(self):
+        with pytest.raises(DomainError, match="equally shaped"):
+            adaptive_quad(lambda u: 1.0, 0.0, 1.0, 1e-9)
+
     def test_rejects_non_finite_integrand(self):
         with pytest.raises(DomainError):
             adaptive_quad(
