@@ -11,14 +11,15 @@ rank-1 update of the system, so each step moves a reactance straight to
 its exact maximizer over the bounds (a closed form from Sherman-Morrison)
 and updates the optimizer's inverse in O(N^2), under the same gates as
 the solve; one checked factorization per sweep bounds the drift. A step
-gates its condition number first on an O(N) upper bound of the updated
-inverse's 1-norm and takes the exact norm only where that bound exceeds
-the cap, so it decides as the exact gate would while its only
-full-matrix work is one zgemv with Z_ss (for the residual; the system is
-never rebuilt) and one zgeru into a copy of the inverse. All matrix
-algebra runs on scipy's BLAS (LU, zgetri, zgemv, zgeru): numpy links a
-second OpenBLAS, and switching between the two thread pools costs
-milliseconds.
+decides every gate from O(N) BLAS calls and scalars before it writes:
+its residual is one zgemv of the system, which the optimizer keeps and
+moves one diagonal entry at a time, and its condition number is checked
+on an O(N) upper bound, on the exact norms only where that bound exceeds
+the cap. The accepted update is one zgeru, in place into an inverse that
+the current sweep created (a sweep may be redone from the one it started
+with). All matrix algebra runs on scipy's BLAS (LU, zgetri, zgemv,
+zgeru, dzasum, dznrm2): numpy links a second OpenBLAS, and switching
+between the two thread pools costs milliseconds.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.blas import dznrm2, zgemv, zgeru
+from scipy.linalg.blas import dzasum, dznrm2, zgemv, zgeru
 from scipy.linalg.lapack import zgecon, zgetri, zgetri_lwork
 
 from .errors import DomainError, SingularSystem
@@ -40,11 +41,14 @@ DEFAULT_REACTANCE_BOUNDS = (-2000.0, 2000.0)  # [ohm]
 CONDITION_CAP = 1e12  # largest accepted 1-norm condition estimate
 DEFAULT_BUDGET = 20  # optimizer sweeps
 _RESIDUAL_REL_MAX = 1e-10
-# Relative margin on _rank1's O(N) norm bound, so that rounding in the
+# Relative margin on _rank1's O(N) norm bounds, so that rounding in the
 # update and in the column sums (about N ulps) never takes a computed
-# |A^-1|_1 above it. The bound only decides when the exact norm is
-# needed, so the margin changes no decision.
+# |A^-1|_1 or |A|_1 above them. The bounds only decide when the exact
+# norms are needed, so the margin changes no decision.
 _BOUND_ROUNDING = 1.0 + 1e-9
+# _rank1's x - s c cannot overflow while its O(N) bound |x|_2 + |s| |c|_2
+# stays below this.
+_NO_OVERFLOW = 1e300
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,8 +92,10 @@ class ChannelResult:
 
 def _residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a x - b by zgemv on a's transpose, the Fortran-ordered view of the
-    C-ordered a: given a itself, f2py would copy it on every call."""
-    return zgemv(1.0, a.T, x, -1.0, b, trans=1)
+    C-ordered a: given a itself, f2py would copy it on every call. The
+    arguments are positional (offx, incx, offy, incy, trans), which f2py
+    parses faster than keywords."""
+    return zgemv(1.0, a.T, x, -1.0, b, 0, 1, 0, 1, 1)
 
 
 def _solve(imps: ImpedanceSet, entries: np.ndarray, cond_cap: float):
@@ -211,8 +217,8 @@ def _coordinate_step(state, idx: int, current: float, lo: float,
     bounds, the two bounds and t = 0 is the exact maximizer.
     """
     inv, x, y, h, _ = state
-    g = complex(inv[idx, idx])
-    q = h * g + complex(x[idx]) * complex(y[idx])
+    g = inv.item(idx, idx)
+    q = h * g + x.item(idx) * y.item(idx)
     # |h(t)|^2 = (a0 + a1 t + a2 t^2) / (b0 + b1 t + b2 t^2)
     a0, a1, a2 = abs(h) ** 2, 2.0 * (h * q.conjugate()).imag, abs(q) ** 2
     b0, b1, b2 = 1.0, -2.0 * g.imag, abs(g) ** 2
@@ -228,13 +234,19 @@ def _coordinate_step(state, idx: int, current: float, lo: float,
                                     if lo <= current + t <= hi], key=gain)
 
 
-def _norms(imps: ImpedanceSet):
-    """What _rank1's gates read of the surface, fixed over a run: the
-    column sums of |Z_ss| off its diagonal, that diagonal, and |z_st|_2.
-    With them |Z_ss + diag(entries)|_1 is one O(N) pass."""
+def _norms(imps: ImpedanceSet, entries: np.ndarray, lo: float, hi: float):
+    """What _rank1's gates read of the surface, fixed over a run that
+    holds the real parts of entries and keeps reactances in [lo, hi]:
+    the off-diagonal column sums of |Z_ss| (with A's diagonal, the exact
+    |A|_1 in one O(N) pass), an upper bound on |A|_1 for the whole run
+    (largest column sum of |Z_ss| + largest |Re entry| + max(|lo|, |hi|))
+    and |z_st|_2."""
     off = np.abs(imps.z_ss)
     off.flat[::imps.n_elements + 1] = 0.0
-    return off.sum(axis=0), imps.z_ss.diagonal(), dznrm2(imps.z_st)
+    off = off.sum(axis=0)
+    a_bound = ((off + np.abs(imps.z_ss.diagonal())).max()
+               + np.abs(entries.real).max() + max(abs(lo), abs(hi)))
+    return off, a_bound * _BOUND_ROUNDING, dznrm2(imps.z_st)
 
 
 def _inverse(imps: ImpedanceSet, solved):
@@ -248,48 +260,68 @@ def _inverse(imps: ImpedanceSet, solved):
     return inv, x, zgemv(1.0, inv, imps.z_rs), h, np.linalg.norm(inv, 1)
 
 
-def _rank1(imps: ImpedanceSet, norms, entries: np.ndarray, state, idx: int,
-           t: float, cond_cap: float):
-    """state after entry idx, already moved in entries, changed by j t:
-    A^-1 -= coef c c^T with c = A^-1 e_idx (Sherman-Morrison). None when
-    the update is not finite, or fails _solve's condition cap (on the
-    exact |A|_1 |A^-1|_1, never below zgecon's estimate) or residual gate.
-    norms is _norms(imps).
+def _rank1(imps: ImpedanceSet, norms, system: np.ndarray, state, idx: int,
+           t: float, cond_cap: float, overwrite: bool = False):
+    """state after element idx, already moved in system (A = Z_ss +
+    diag(entries)), changed by j t: A^-1 -= coef c c^T with
+    c = A^-1 e_idx (Sherman-Morrison). None when the update is not
+    finite, or fails _solve's condition cap (on the exact
+    |A|_1 |A^-1|_1, never below zgecon's estimate) or residual gate.
+    norms is the run's _norms.
 
-    The cap is first checked on the O(N) bound
-    |A^-1|_1 <= |B|_1 + |coef| |c|_1 |c|_inf, B the present inverse; only
-    where that bound exceeds the cap is the exact norm taken. A pass of
-    the bound is a pass of the exact gate, so every decision is the
-    exact one. The state carries the bound (exact after _inverse) as
-    its |B|_1. The update writes a new array; state is never modified.
+    Every gate is decided before the update is written. The residual is
+    _solve's, one zgemv of system. The cap is checked first on the O(N)
+    bound a_bound (|B|_1 + |coef| dzasum(c) dznrm2(c)), B the present
+    inverse, as dzasum(c) >= |c|_1 and dznrm2(c) >= |c|_inf; only where
+    it exceeds the cap are the exact norms taken, of an update written
+    to a new array. A pass of the bound is a pass of the exact gate, so
+    every decision is the exact one. The state carries the bound (exact
+    after _inverse) as its |B|_1. Finiteness follows from h, that bound
+    and the 2-norms of x, y and c, which also tell when x - s c needs
+    np.errstate.
+
+    By default the update writes a new array and state is never
+    modified. With overwrite, it goes into state's inverse, which the
+    caller gives up; a proposal that passes the gates but does not raise
+    |h| is then refused before the write: state comes back as it is.
     """
     inv, x, y, h, inv_norm = state
-    off, diag, z_st_norm = norms
-    den = 1.0 + 1j * t * complex(inv[idx, idx])
+    off, a_bound, z_st_norm = norms
+    den = 1.0 + 1j * t * inv.item(idx, idx)
     if den == 0:  # det(A') = det(A) * den: the moved system is singular
         return None
     coef, col = 1j * t / den, inv[:, idx]
-    x_i, y_i = complex(x[idx]), complex(y[idx])
-    h = h + coef * x_i * y_i
-    with np.errstate(all="ignore"):  # a non-finite update fails below
-        x, y = x - (coef * x_i) * col, y - (coef * y_i) * col
-        residual = dznrm2(_residual(imps.z_ss, x, imps.z_st) + entries * x)
-        abs_col = np.abs(col)
-        a_norm = (off + np.abs(diag + entries)).max()
-        inv_norm = (inv_norm + abs(coef) * abs_col.sum() * abs_col.max()
-                    ) * _BOUND_ROUNDING
-    if not (math.isfinite(abs(h)) and np.isfinite(y).all()
-            and residual <= _RESIDUAL_REL_MAX * z_st_norm):
+    sx, sy = coef * x.item(idx), coef * y.item(idx)
+    moved_h = h + sx * y.item(idx)
+    col_norm = dznrm2(col)
+    if (dznrm2(x) + abs(sx) * col_norm < _NO_OVERFLOW
+            and dznrm2(y) + abs(sy) * col_norm < _NO_OVERFLOW):
+        x, y = x - sx * col, y - sy * col
+    else:
+        with np.errstate(all="ignore"):  # a non-finite update fails below
+            x, y = x - sx * col, y - sy * col
+        if not math.isfinite(dznrm2(y)):
+            return None
+    if not (math.isfinite(abs(moved_h)) and dznrm2(
+            _residual(system, x, imps.z_st)) <= _RESIDUAL_REL_MAX * z_st_norm):
         return None
-    inv = zgeru(-coef, col, col, a=inv)  # overwrite_a = 0: a new array
-    cond = a_norm * inv_norm
+    inv_norm = (inv_norm + abs(coef) * dzasum(col) * col_norm
+                ) * _BOUND_ROUNDING
+    cond, moved = a_bound * inv_norm, None
     if not (math.isfinite(cond) and cond <= cond_cap):
+        moved = zgeru(-coef, col, col, a=inv)  # overwrite_a = 0: a new array
         with np.errstate(all="ignore"):
-            inv_norm = np.linalg.norm(inv, 1)
-        cond = a_norm * inv_norm
+            inv_norm = np.linalg.norm(moved, 1)
+        cond = (off + np.abs(system.diagonal())).max() * inv_norm
         if not (math.isfinite(cond) and cond <= cond_cap):
             return None
-    return inv, x, y, h, inv_norm
+    if overwrite and not abs(moved_h) > abs(h):
+        return state
+    if moved is None:
+        # zgeru reads c while it writes: in place, c must not be inv's column
+        c = col.copy() if overwrite else col
+        moved = zgeru(-coef, c, c, a=inv, overwrite_a=overwrite)
+    return moved, x, y, moved_h, inv_norm
 
 
 def optimize_tuning(
@@ -341,22 +373,28 @@ def optimize_tuning(
         )
     _channel(imps, solved)
     state, trace = _inverse(imps, solved), [abs(solved[2])]
-    norms = _norms(imps)
+    norms = _norms(imps, entries, lo, hi)
+    # A = Z_ss + diag(entries) of the present entries, built as in _solve
+    n, diag, system = entries.shape[0], imps.z_ss.diagonal(), imps.z_ss.copy()
     stop_reason = "budget"
 
     for _ in range(budget):
         start_entries, start_state = entries.copy(), state
         for checked in (False, True):  # True: the redo, _solve per move
             entries[:], state = start_entries, start_state
-            for idx in range(entries.shape[0]):
+            system.flat[::n + 1] = diag + entries
+            for idx in range(n):
                 current = entries[idx]
                 target = _coordinate_step(state, idx, current.imag, lo, hi)
                 if target == current.imag:
                     continue
                 entries[idx] = current.real + 1j * target
+                system[idx, idx] = diag[idx] + entries[idx]
+                # The redo restarts from start_state, so only an inverse
+                # that this sweep created is written in place.
                 proposal = None if checked else _rank1(
-                    imps, norms, entries, state, idx, target - current.imag,
-                    CONDITION_CAP)
+                    imps, norms, system, state, idx, target - current.imag,
+                    CONDITION_CAP, overwrite=state is not start_state)
                 if proposal is None:
                     with suppress(SingularSystem):
                         proposal = _inverse(imps, _solve(imps, entries,
@@ -365,6 +403,7 @@ def optimize_tuning(
                     state = proposal
                 else:
                     entries[idx] = current
+                    system[idx, idx] = diag[idx] + current
             if checked or state is start_state:
                 break
             with suppress(SingularSystem):  # one checked solve per sweep

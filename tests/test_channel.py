@@ -257,6 +257,11 @@ def grid_imps(n: int = 4) -> ImpedanceSet:
     return assemble_impedances(scene)[0]
 
 
+def run_norms(imps: ImpedanceSet, entries: np.ndarray):
+    # what optimize_tuning hands _rank1 for a run from entries
+    return wirecoupling.channel._norms(imps, entries, *DEFAULT_REACTANCE_BOUNDS)
+
+
 class TestOptimizer:
     @pytest.mark.parametrize("seed", range(6))
     def test_exact_step_matches_dense_scan(self, seed):
@@ -418,8 +423,9 @@ class TestOptimizer:
         steps = (lambda: end_to_end(imps, init),
                  lambda: optimize_tuning(imps, init, budget=1),
                  lambda: channel._inverse(imps, solved),
-                 lambda: channel._rank1(imps, channel._norms(imps), entries,
-                                        state, 5, 150.0, 1e12))
+                 lambda: channel._rank1(imps, run_norms(imps, entries),
+                                        imps.z_ss + np.diag(entries), state,
+                                        5, 150.0, 1e12))
         for step in steps:
             del calls[:]
             assert step() is not None
@@ -482,8 +488,9 @@ class TestOptimizer:
         entries = np.zeros(16, dtype=complex)
         state = channel._inverse(imps, channel._solve(imps, entries, 1e12))
         entries[5] = 150j
-        norms = channel._norms(imps)
-        moved = channel._rank1(imps, norms, entries, state, 5, 150.0, 1e12)
+        norms = run_norms(imps, entries)
+        moved = channel._rank1(imps, norms, imps.z_ss + np.diag(entries),
+                               state, 5, 150.0, 1e12)
         fresh = channel._inverse(imps, channel._solve(imps, entries, 1e12))
         for got, want in zip(moved[:4], fresh[:4]):  # (A^-1, x, y, h)
             assert np.allclose(got, want, rtol=1e-10, atol=0.0)
@@ -492,9 +499,9 @@ class TestOptimizer:
         assert moved[4] >= np.linalg.norm(moved[0], 1)
         system = imps.z_ss + np.diag(entries)
         exact = np.linalg.norm(system, 1) * np.linalg.norm(fresh[0], 1)
-        assert channel._rank1(imps, norms, entries, state, 5, 150.0,
+        assert channel._rank1(imps, norms, system, state, 5, 150.0,
                               0.999 * exact) is None
-        assert channel._rank1(imps, norms, entries, state, 5, 150.0,
+        assert channel._rank1(imps, norms, system, state, 5, 150.0,
                               1.001 * exact) is not None
 
     @settings(max_examples=60, deadline=None)
@@ -515,36 +522,86 @@ class TestOptimizer:
                             z_rs=rng.normal(size=n) + 1j, z_ss=z_ss)
         entries = 1j * rng.uniform(-500.0, 500.0, n)
         state = channel._inverse(imps, channel._solve(imps, entries, 1e12))
-        norms = channel._norms(imps)
+        # every reactance the moves reach lies within +-(500 + 4 * 3000)
+        norms = channel._norms(imps, entries, -12_500.0, 12_500.0)
         for idx, t in moves:
             idx %= n
             entries[idx] += 1j * t
-            moved = channel._rank1(imps, norms, entries, state, idx, t,
+            system = z_ss + np.diag(entries)
+            moved = channel._rank1(imps, norms, system, state, idx, t,
                                    math.inf)
             if moved is None:  # a move onto a pole or past the residual gate
                 break
             exact = np.linalg.norm(moved[0], 1)
             assert moved[4] >= exact
             if moved[4] > exact:
-                a_norm = np.linalg.norm(z_ss + np.diag(entries), 1)
-                capped = channel._rank1(imps, norms, entries, state, idx, t,
+                a_norm = np.linalg.norm(system, 1)
+                capped = channel._rank1(imps, norms, system, state, idx, t,
                                         a_norm * (exact + moved[4]) / 2.0)
                 assert capped is not None
                 assert capped[4] == np.linalg.norm(capped[0], 1)
             state = moved
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8),
+           st.floats(-3000.0, 3000.0), st.floats(1e-3, 6000.0))
+    def test_run_bound_covers_the_system_norm(self, seed, n, lo, width):
+        # The |A|_1 bound that _norms fixes for a run is at least the
+        # exact |Z_ss + diag(entries)|_1 for every state the run can
+        # reach: the start's real parts, reactances within [lo, hi].
+        channel = wirecoupling.channel
+        rng = np.random.default_rng(seed)
+        hi = lo + width
+        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        z_ss = (raw + raw.T) * rng.uniform(1.0, 100.0)
+        z_ss[np.diag_indices(n)] = (rng.uniform(0.1, 80.0, n)
+                                    + 1j * rng.uniform(-300.0, 300.0, n))
+        imps = ImpedanceSet(z_rt=40.0, z_st=rng.normal(size=n) + 0j,
+                            z_rs=rng.normal(size=n) + 0j, z_ss=z_ss)
+        real = rng.uniform(-50.0, 50.0, n)
+        _, a_bound, _ = channel._norms(imps, real + 1j * lo, lo, hi)
+        for _ in range(20):
+            x = np.where(rng.random(n) < 0.3, rng.choice([lo, hi], n),
+                         rng.uniform(lo, hi, n))
+            assert a_bound >= np.linalg.norm(z_ss + np.diag(real + 1j * x), 1)
+
+    def test_run_bound_holds_where_it_is_tight(self):
+        # A lossless run on a surface whose diagonal is imaginary up to
+        # 1e-300, with every reactance at hi >= |lo|: each column sum of
+        # |A| is the bound's sum, so only rounding separates the two. The
+        # rounding margin must keep the bound on top.
+        channel = wirecoupling.channel
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            n = int(rng.integers(1, 9))
+            raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            z_ss = (raw + raw.T) * rng.uniform(1.0, 100.0)
+            z_ss[np.diag_indices(n)] = 1e-300 + 1j * rng.uniform(1.0, 300.0, n)
+            imps = ImpedanceSet(z_rt=40.0, z_st=np.ones(n) + 0j,
+                                z_rs=np.ones(n) + 0j, z_ss=z_ss)
+            hi = rng.uniform(0.0, 3000.0)
+            lo = -rng.uniform(0.0, hi)
+            _, a_bound, _ = channel._norms(imps, np.full(n, 1j * lo), lo, hi)
+            assert a_bound >= np.linalg.norm(z_ss + 1j * hi * np.eye(n), 1)
+
     def test_rank1_norm_bound_holds_where_it_is_tight(self):
         # With B_00 = j s and t = r / (s (1 + r)), the update -coef c c^T
-        # has B's phase in column 0, so the bound is |B'|_1 exactly up to
-        # rounding. The rounding margin must keep it on top.
+        # has B's phase in column 0, so |B|_1 + |coef| |c|_1 |c|_inf is
+        # |B'|_1 exactly up to rounding. Decoupling element 0 (c = j s e_0)
+        # and shrinking B's other columns below s makes the bound _rank1
+        # carries, with dzasum(c) dznrm2(c) for |c|_1 |c|_inf, as tight.
+        # The rounding margin must keep it on top.
         channel = wirecoupling.channel
         rng = np.random.default_rng(3)
-        for _ in range(300):
+        for decoupled in [False] * 300 + [True] * 300:
             n = int(rng.integers(2, 4))
             raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             inv = (raw + raw.T) / 2.0
             s, r = rng.uniform(0.5, 2.0), rng.uniform(0.1, 10.0)
             inv[0, 0] = 1j * s
+            if decoupled:
+                inv[0, 1:] = inv[1:, 0] = 0.0
+                inv[1:, 1:] *= s / (2.0 * np.linalg.norm(inv[1:, 1:], 1))
             t = r / (s * (1.0 + r))
             system = np.linalg.inv(inv)
             shift = np.abs(system.real).max() + 1.0
@@ -557,27 +614,44 @@ class TestOptimizer:
             x = inv @ z_st
             state = (np.asfortranarray(inv), x, x, 1.0 + 0j,
                      np.linalg.norm(inv, 1))
-            moved = channel._rank1(imps, channel._norms(imps), entries, state,
-                                   0, t, math.inf)
+            moved = channel._rank1(imps, run_norms(imps, entries),
+                                   imps.z_ss + np.diag(entries), state, 0, t,
+                                   math.inf)
             assert moved is not None
             assert moved[4] >= np.linalg.norm(moved[0], 1)
+            if decoupled:  # the bound is within its rounding margin
+                assert moved[4] <= np.linalg.norm(moved[0], 1) * (1 + 1e-8)
 
     def test_updates_never_write_into_the_state_they_start_from(
             self, monkeypatch):
         # A refused proposal keeps the present state, and a redone sweep
-        # starts again from the state before it, so every state handed to
-        # _rank1 must still hold its bits after the run: the updates
-        # write new arrays only. The capped run refuses many proposals;
-        # the failed refresh makes sweep 1 redo from its start.
+        # starts again from the state before it. So every state handed to
+        # _rank1 without overwrite, and the state each sweep starts from
+        # (the one its first coordinate step reads), must still hold its
+        # bits after the run: only an inverse that the sweep created is
+        # written in place. The capped run refuses many proposals; the
+        # failed refresh makes sweep 1 redo from its start.
         channel = wirecoupling.channel
-        rank1, solve = channel._rank1, channel._solve
-        seen, refused, calls = [], [], []
+        rank1, step = channel._rank1, channel._coordinate_step
+        solve = channel._solve
+        seen, refused, in_place, calls = [], [], [], []
 
-        def recording(imps, norms, entries, state, *args):
+        def keep(state):
             seen.append((state, [a.tobytes() for a in state[:3]]))
-            out = rank1(imps, norms, entries, state, *args)
-            refused.append(out is None)
+
+        def recording(imps, norms, system, state, *args, overwrite=False):
+            if not overwrite:
+                keep(state)
+            out = rank1(imps, norms, system, state, *args,
+                        overwrite=overwrite)
+            refused.append(out is None or out is state)
+            in_place.append(overwrite)
             return out
+
+        def sweep_start(state, idx, *args):
+            if idx == 0:
+                keep(state)
+            return step(state, idx, *args)
 
         def failing_once(*args):
             calls.append(1)
@@ -586,19 +660,100 @@ class TestOptimizer:
             return solve(*args)
 
         monkeypatch.setattr(channel, "_rank1", recording)
+        monkeypatch.setattr(channel, "_coordinate_step", sweep_start)
         imps = grid_imps()
         init = TuningState.from_reactances(np.zeros(16))
         default = channel.CONDITION_CAP
         monkeypatch.setattr(channel, "CONDITION_CAP",
                             3.0 * end_to_end(imps, init).condition_estimate)
         optimize_tuning(imps, init, budget=3)
-        assert any(refused)
+        assert any(refused) and any(in_place)
         monkeypatch.setattr(channel, "CONDITION_CAP", default)
         monkeypatch.setattr(channel, "_solve", failing_once)
+        del in_place[:]
         optimize_tuning(imps, init, budget=3)
         assert len(calls) == 21  # the redo ran
+        assert any(in_place)
         for state, arrays in seen:
             assert [a.tobytes() for a in state[:3]] == arrays
+
+    def test_gated_move_that_does_not_raise_h_gets_no_checked_solve(
+            self, monkeypatch):
+        # A proposal that passes the rank-1 gates but does not raise |h|
+        # is refused as it stands, whether its update would go to a new
+        # array (a sweep's first move) or in place (a later one): no
+        # checked solve stands in for it. A single element moves to its
+        # worst reactance on a grid; of two, element 0 moves to its best
+        # and element 1 to its worst.
+        channel = wirecoupling.channel
+        step, rank1, solve = (channel._coordinate_step, channel._rank1,
+                              channel._solve)
+        lowers, in_place, solves = [], [], []
+
+        def worst_after_the_first(state, idx, current, lo, hi):
+            if idx == 0 and state[0].shape[0] > 1:
+                return step(state, idx, current, lo, hi)
+            inv, x, y, h, _ = state
+            g = inv[idx, idx]
+            q = h * g + x[idx] * y[idx]
+            grid = np.linspace(lo, hi, 401)
+            gain = (np.abs(h + 1j * (grid - current) * q)
+                    / np.abs(1.0 + 1j * (grid - current) * g))
+            lowers.append(gain.min() < abs(h))
+            return float(grid[np.argmin(gain)])
+
+        def recording(imps, norms, system, state, *args, overwrite=False):
+            in_place.append(overwrite)
+            arrays = [a.tobytes() for a in state[:3]]
+            out = rank1(imps, norms, system, state, *args,
+                        overwrite=overwrite)
+            assert out is not None  # the move passes the gates
+            if not abs(out[3]) > abs(state[3]):  # refused: state unwritten
+                assert [a.tobytes() for a in state[:3]] == arrays
+            return out
+
+        def counting_solve(*args):
+            solves.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(channel, "_coordinate_step", worst_after_the_first)
+        monkeypatch.setattr(channel, "_rank1", recording)
+        monkeypatch.setattr(channel, "_solve", counting_solve)
+        # one element: the start and the final state are the only solves
+        one = optimize_tuning(single_element_imps(),
+                              TuningState.from_reactances([0.0]), budget=1)
+        assert (in_place, len(solves)) == ([False], 2)
+        assert one.trace[1] == one.trace[0] and one.stop_reason == "converged"
+        assert one.tuning.entries[0] == 0.0
+        # two elements: element 0 moves, element 1 is refused in place; the
+        # solves are the start, the sweep's refresh and the final state
+        del in_place[:], solves[:]
+        two = optimize_tuning(two_element_imps(),
+                              TuningState.from_reactances([0.0, 0.0]),
+                              budget=1)
+        assert (in_place, len(solves)) == ([False, True], 3)
+        assert two.tuning.entries[0] != 0.0 and two.tuning.entries[1] == 0.0
+        assert all(lowers)
+
+    def test_rank1_in_place_has_the_bits_of_a_new_array(self):
+        # The update written into the state's own inverse (the column it
+        # reads copied first) is bit for bit the one written to a new array.
+        channel = wirecoupling.channel
+        imps = grid_imps()
+        entries = np.zeros(16, dtype=complex)
+        state = channel._inverse(imps, channel._solve(imps, entries, 1e12))
+        target = channel._coordinate_step(state, 5, 0.0,
+                                          *DEFAULT_REACTANCE_BOUNDS)
+        entries[5] = 1j * target
+        args = (imps, run_norms(imps, entries), imps.z_ss + np.diag(entries))
+        moved = channel._rank1(*args, state, 5, target, 1e12)
+        own = (state[0].copy(order="F"), *state[1:])
+        written = channel._rank1(*args, own, 5, target, 1e12, overwrite=True)
+        assert written[0] is own[0]
+        assert abs(written[3]) > abs(state[3])
+        assert [a.tobytes() for a in written[:3]] == [
+            a.tobytes() for a in moved[:3]]
+        assert written[3:] == moved[3:]
 
     def test_pole_step_is_refused_without_a_warning(self):
         # 1 + j t B_ii = 0: the move sits on a pole of h(t), where no
@@ -613,8 +768,30 @@ class TestOptimizer:
         entries[5] = 1j * t
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert channel._rank1(imps, channel._norms(imps), entries,
-                                  (inv, *rest), 5, t, 1e12) is None
+            assert channel._rank1(imps, run_norms(imps, entries),
+                                  imps.z_ss + np.diag(entries), (inv, *rest),
+                                  5, t, 1e12) is None
+
+    def test_overflowing_step_is_refused_without_a_warning(self):
+        # x near the largest double: the update x - s c overflows, which
+        # numpy warns about. The step says None and warns about nothing.
+        channel = wirecoupling.channel
+        imps = grid_imps()
+        entries = np.zeros(16, dtype=complex)
+        inv, x, *rest = channel._inverse(imps,
+                                         channel._solve(imps, entries, 1e12))
+        x = np.finfo(float).max * (1.0 + 1j) * (-1.0) ** np.arange(16)
+        x[5] = 1e300
+        t = 150.0
+        entries[5] = 1j * t
+        coef = 1j * t / (1.0 + 1j * t * inv[5, 5])
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            x - (coef * x[5]) * inv[:, 5]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert channel._rank1(imps, run_norms(imps, entries),
+                                  imps.z_ss + np.diag(entries),
+                                  (inv, x, *rest), 5, t, 1e12) is None
 
     @pytest.mark.parametrize("corruption", [1e-6, math.nan],
                              ids=["residual", "non-finite"])
@@ -632,8 +809,9 @@ class TestOptimizer:
         state = (inv, x, *rest)
         arrays = [a.tobytes() for a in state[:3]]
         entries[5] = 150.0j
-        assert channel._rank1(imps, channel._norms(imps), entries, state, 5,
-                              150.0, 1e12) is None
+        assert channel._rank1(imps, run_norms(imps, entries),
+                              imps.z_ss + np.diag(entries), state, 5, 150.0,
+                              1e12) is None
         assert [a.tobytes() for a in state[:3]] == arrays
 
     @pytest.mark.parametrize("side, budget, factorizations, gain_db", [
