@@ -11,15 +11,14 @@ rank-1 update of the system, so each step moves a reactance straight to
 its exact maximizer over the bounds (a closed form from Sherman-Morrison)
 and updates the optimizer's inverse in O(N^2), under the same gates as
 the solve; one checked factorization per sweep bounds the drift. A step
-decides every gate from O(N) BLAS calls and scalars before it writes:
+decides its gates from O(N) BLAS calls and scalars before it writes:
 its residual is one zgemv of the system, which the optimizer keeps and
 moves one diagonal entry at a time, and its condition number is checked
 on an O(N) upper bound, on the exact norms only where that bound exceeds
-the cap. The accepted update is one zgeru, in place into an inverse that
-the current sweep created (a sweep may be redone from the one it started
-with). All matrix algebra runs on scipy's BLAS (LU, zgetri, zgemv,
-zgeru, dzasum, dznrm2): numpy links a second OpenBLAS, and switching
-between the two thread pools costs milliseconds.
+the cap. The update is then one zgeru into a new array. All matrix
+algebra runs on scipy's BLAS (LU, zgetri, zgemv, zgeru, dzasum, dznrm2):
+numpy links a second OpenBLAS, and switching between the two thread
+pools costs milliseconds.
 """
 
 from __future__ import annotations
@@ -92,10 +91,8 @@ class ChannelResult:
 
 def _residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a x - b by zgemv on a's transpose, the Fortran-ordered view of the
-    C-ordered a: given a itself, f2py would copy it on every call. The
-    arguments are positional (offx, incx, offy, incy, trans), which f2py
-    parses faster than keywords."""
-    return zgemv(1.0, a.T, x, -1.0, b, 0, 1, 0, 1, 1)
+    C-ordered a: given a itself, f2py would copy it on every call."""
+    return zgemv(1.0, a.T, x, -1.0, b, trans=1)
 
 
 def _solve(imps: ImpedanceSet, entries: np.ndarray, cond_cap: float):
@@ -261,7 +258,7 @@ def _inverse(imps: ImpedanceSet, solved):
 
 
 def _rank1(imps: ImpedanceSet, norms, system: np.ndarray, state, idx: int,
-           t: float, cond_cap: float, overwrite: bool = False):
+           t: float, cond_cap: float):
     """state after element idx, already moved in system (A = Z_ss +
     diag(entries)), changed by j t: A^-1 -= coef c c^T with
     c = A^-1 e_idx (Sherman-Morrison). None when the update is not
@@ -269,21 +266,17 @@ def _rank1(imps: ImpedanceSet, norms, system: np.ndarray, state, idx: int,
     |A|_1 |A^-1|_1, never below zgecon's estimate) or residual gate.
     norms is the run's _norms.
 
-    Every gate is decided before the update is written. The residual is
-    _solve's, one zgemv of system. The cap is checked first on the O(N)
-    bound a_bound (|B|_1 + |coef| dzasum(c) dznrm2(c)), B the present
-    inverse, as dzasum(c) >= |c|_1 and dznrm2(c) >= |c|_inf; only where
-    it exceeds the cap are the exact norms taken, of an update written
-    to a new array. A pass of the bound is a pass of the exact gate, so
-    every decision is the exact one. The state carries the bound (exact
-    after _inverse) as its |B|_1. Finiteness follows from h, that bound
-    and the 2-norms of x, y and c, which also tell when x - s c needs
-    np.errstate.
-
-    By default the update writes a new array and state is never
-    modified. With overwrite, it goes into state's inverse, which the
-    caller gives up; a proposal that passes the gates but does not raise
-    |h| is then refused before the write: state comes back as it is.
+    The residual gate is _solve's, one zgemv of system. The cap is
+    checked first on the O(N) bound a_bound (|B|_1 + |coef| dzasum(c)
+    dznrm2(c)), B the present inverse, as dzasum(c) >= |c|_1 and
+    dznrm2(c) >= |c|_inf; only where that bound exceeds the cap are the
+    exact norms taken, of the written update. A pass of the bound is a
+    pass of the exact gate, so every decision is the exact one, and all
+    but that last one are taken before anything is written. The state
+    carries the bound (exact after _inverse) as its |B|_1. Finiteness
+    follows from h, that bound and the 2-norms of x, y and c, which also
+    tell when x - s c needs np.errstate. The update writes a new array;
+    state is never modified.
     """
     inv, x, y, h, inv_norm = state
     off, a_bound, z_st_norm = norms
@@ -292,7 +285,7 @@ def _rank1(imps: ImpedanceSet, norms, system: np.ndarray, state, idx: int,
         return None
     coef, col = 1j * t / den, inv[:, idx]
     sx, sy = coef * x.item(idx), coef * y.item(idx)
-    moved_h = h + sx * y.item(idx)
+    h = h + sx * y.item(idx)
     col_norm = dznrm2(col)
     if (dznrm2(x) + abs(sx) * col_norm < _NO_OVERFLOW
             and dznrm2(y) + abs(sy) * col_norm < _NO_OVERFLOW):
@@ -302,26 +295,20 @@ def _rank1(imps: ImpedanceSet, norms, system: np.ndarray, state, idx: int,
             x, y = x - sx * col, y - sy * col
         if not math.isfinite(dznrm2(y)):
             return None
-    if not (math.isfinite(abs(moved_h)) and dznrm2(
+    if not (math.isfinite(abs(h)) and dznrm2(
             _residual(system, x, imps.z_st)) <= _RESIDUAL_REL_MAX * z_st_norm):
         return None
     inv_norm = (inv_norm + abs(coef) * dzasum(col) * col_norm
                 ) * _BOUND_ROUNDING
-    cond, moved = a_bound * inv_norm, None
+    cond = a_bound * inv_norm
+    inv = zgeru(-coef, col, col, a=inv)  # overwrite_a = 0: a new array
     if not (math.isfinite(cond) and cond <= cond_cap):
-        moved = zgeru(-coef, col, col, a=inv)  # overwrite_a = 0: a new array
         with np.errstate(all="ignore"):
-            inv_norm = np.linalg.norm(moved, 1)
+            inv_norm = np.linalg.norm(inv, 1)
         cond = (off + np.abs(system.diagonal())).max() * inv_norm
         if not (math.isfinite(cond) and cond <= cond_cap):
             return None
-    if overwrite and not abs(moved_h) > abs(h):
-        return state
-    if moved is None:
-        # zgeru reads c while it writes: in place, c must not be inv's column
-        c = col.copy() if overwrite else col
-        moved = zgeru(-coef, c, c, a=inv, overwrite_a=overwrite)
-    return moved, x, y, moved_h, inv_norm
+    return inv, x, y, h, inv_norm
 
 
 def optimize_tuning(
@@ -390,11 +377,9 @@ def optimize_tuning(
                     continue
                 entries[idx] = current.real + 1j * target
                 system[idx, idx] = diag[idx] + entries[idx]
-                # The redo restarts from start_state, so only an inverse
-                # that this sweep created is written in place.
                 proposal = None if checked else _rank1(
                     imps, norms, system, state, idx, target - current.imag,
-                    CONDITION_CAP, overwrite=state is not start_state)
+                    CONDITION_CAP)
                 if proposal is None:
                     with suppress(SingularSystem):
                         proposal = _inverse(imps, _solve(imps, entries,

@@ -625,33 +625,19 @@ class TestOptimizer:
     def test_updates_never_write_into_the_state_they_start_from(
             self, monkeypatch):
         # A refused proposal keeps the present state, and a redone sweep
-        # starts again from the state before it. So every state handed to
-        # _rank1 without overwrite, and the state each sweep starts from
-        # (the one its first coordinate step reads), must still hold its
-        # bits after the run: only an inverse that the sweep created is
-        # written in place. The capped run refuses many proposals; the
-        # failed refresh makes sweep 1 redo from its start.
+        # starts again from the state before it, so every state handed to
+        # _rank1 must still hold its bits after the run: the updates
+        # write new arrays only. The capped run refuses many proposals;
+        # the failed refresh makes sweep 1 redo from its start.
         channel = wirecoupling.channel
-        rank1, step = channel._rank1, channel._coordinate_step
-        solve = channel._solve
-        seen, refused, in_place, calls = [], [], [], []
+        rank1, solve = channel._rank1, channel._solve
+        seen, refused, calls = [], [], []
 
-        def keep(state):
+        def recording(imps, norms, system, state, *args):
             seen.append((state, [a.tobytes() for a in state[:3]]))
-
-        def recording(imps, norms, system, state, *args, overwrite=False):
-            if not overwrite:
-                keep(state)
-            out = rank1(imps, norms, system, state, *args,
-                        overwrite=overwrite)
-            refused.append(out is None or out is state)
-            in_place.append(overwrite)
+            out = rank1(imps, norms, system, state, *args)
+            refused.append(out is None)
             return out
-
-        def sweep_start(state, idx, *args):
-            if idx == 0:
-                keep(state)
-            return step(state, idx, *args)
 
         def failing_once(*args):
             calls.append(1)
@@ -660,35 +646,31 @@ class TestOptimizer:
             return solve(*args)
 
         monkeypatch.setattr(channel, "_rank1", recording)
-        monkeypatch.setattr(channel, "_coordinate_step", sweep_start)
         imps = grid_imps()
         init = TuningState.from_reactances(np.zeros(16))
         default = channel.CONDITION_CAP
         monkeypatch.setattr(channel, "CONDITION_CAP",
                             3.0 * end_to_end(imps, init).condition_estimate)
         optimize_tuning(imps, init, budget=3)
-        assert any(refused) and any(in_place)
+        assert any(refused)
         monkeypatch.setattr(channel, "CONDITION_CAP", default)
         monkeypatch.setattr(channel, "_solve", failing_once)
-        del in_place[:]
         optimize_tuning(imps, init, budget=3)
         assert len(calls) == 21  # the redo ran
-        assert any(in_place)
         for state, arrays in seen:
             assert [a.tobytes() for a in state[:3]] == arrays
 
     def test_gated_move_that_does_not_raise_h_gets_no_checked_solve(
             self, monkeypatch):
         # A proposal that passes the rank-1 gates but does not raise |h|
-        # is refused as it stands, whether its update would go to a new
-        # array (a sweep's first move) or in place (a later one): no
-        # checked solve stands in for it. A single element moves to its
-        # worst reactance on a grid; of two, element 0 moves to its best
-        # and element 1 to its worst.
+        # is refused as it stands, as a sweep's first move or a later
+        # one: no checked solve stands in for it. A single element moves
+        # to its worst reactance on a grid; of two, element 0 moves to its
+        # best and element 1 to its worst.
         channel = wirecoupling.channel
         step, rank1, solve = (channel._coordinate_step, channel._rank1,
                               channel._solve)
-        lowers, in_place, solves = [], [], []
+        lowers, proposals, solves = [], [], []
 
         def worst_after_the_first(state, idx, current, lo, hi):
             if idx == 0 and state[0].shape[0] > 1:
@@ -702,14 +684,10 @@ class TestOptimizer:
             lowers.append(gain.min() < abs(h))
             return float(grid[np.argmin(gain)])
 
-        def recording(imps, norms, system, state, *args, overwrite=False):
-            in_place.append(overwrite)
-            arrays = [a.tobytes() for a in state[:3]]
-            out = rank1(imps, norms, system, state, *args,
-                        overwrite=overwrite)
+        def recording(imps, norms, system, state, *args):
+            out = rank1(imps, norms, system, state, *args)
             assert out is not None  # the move passes the gates
-            if not abs(out[3]) > abs(state[3]):  # refused: state unwritten
-                assert [a.tobytes() for a in state[:3]] == arrays
+            proposals.append(abs(out[3]) > abs(state[3]))
             return out
 
         def counting_solve(*args):
@@ -722,38 +700,41 @@ class TestOptimizer:
         # one element: the start and the final state are the only solves
         one = optimize_tuning(single_element_imps(),
                               TuningState.from_reactances([0.0]), budget=1)
-        assert (in_place, len(solves)) == ([False], 2)
+        assert (proposals, len(solves)) == ([False], 2)
         assert one.trace[1] == one.trace[0] and one.stop_reason == "converged"
         assert one.tuning.entries[0] == 0.0
-        # two elements: element 0 moves, element 1 is refused in place; the
-        # solves are the start, the sweep's refresh and the final state
-        del in_place[:], solves[:]
+        # two elements: element 0 moves, element 1 is refused; the solves
+        # are the start, the sweep's refresh and the final state
+        del proposals[:], solves[:]
         two = optimize_tuning(two_element_imps(),
                               TuningState.from_reactances([0.0, 0.0]),
                               budget=1)
-        assert (in_place, len(solves)) == ([False, True], 3)
+        assert (proposals, len(solves)) == ([True, False], 3)
         assert two.tuning.entries[0] != 0.0 and two.tuning.entries[1] == 0.0
         assert all(lowers)
 
-    def test_rank1_in_place_has_the_bits_of_a_new_array(self):
-        # The update written into the state's own inverse (the column it
-        # reads copied first) is bit for bit the one written to a new array.
+    def test_rank1_is_handed_the_system_of_its_state(self, monkeypatch):
+        # optimize_tuning keeps the system, moves its diagonal entry idx by
+        # j t for each proposal and restores it on refusal. So the system
+        # a _rank1 call gets, less that move, is the one its state solves.
+        # The capped run refuses proposals in mid-sweep.
         channel = wirecoupling.channel
+        rank1, solved = channel._rank1, []
+
+        def checking(imps, norms, system, state, idx, t, *args):
+            base = system.copy()
+            base[idx, idx] -= 1j * t
+            residual = np.linalg.norm(base @ state[1] - imps.z_st)
+            solved.append(residual <= 1e-8 * np.linalg.norm(imps.z_st))
+            return rank1(imps, norms, system, state, idx, t, *args)
+
+        monkeypatch.setattr(channel, "_rank1", checking)
         imps = grid_imps()
-        entries = np.zeros(16, dtype=complex)
-        state = channel._inverse(imps, channel._solve(imps, entries, 1e12))
-        target = channel._coordinate_step(state, 5, 0.0,
-                                          *DEFAULT_REACTANCE_BOUNDS)
-        entries[5] = 1j * target
-        args = (imps, run_norms(imps, entries), imps.z_ss + np.diag(entries))
-        moved = channel._rank1(*args, state, 5, target, 1e12)
-        own = (state[0].copy(order="F"), *state[1:])
-        written = channel._rank1(*args, own, 5, target, 1e12, overwrite=True)
-        assert written[0] is own[0]
-        assert abs(written[3]) > abs(state[3])
-        assert [a.tobytes() for a in written[:3]] == [
-            a.tobytes() for a in moved[:3]]
-        assert written[3:] == moved[3:]
+        init = TuningState.from_reactances(np.zeros(16))
+        monkeypatch.setattr(channel, "CONDITION_CAP",
+                            3.0 * end_to_end(imps, init).condition_estimate)
+        optimize_tuning(imps, init)
+        assert len(solved) > 100 and all(solved)
 
     def test_pole_step_is_refused_without_a_warning(self):
         # 1 + j t B_ii = 0: the move sits on a pole of h(t), where no
