@@ -55,28 +55,10 @@ def _check_lengths(wires, k: float, name) -> None:
         )
 
 
-def _field_terms(z, rho: float, dz: float, h_p: float, k: float):
-    """G(R at +h_p) + G(R at -h_p) - 2*cos(k*h_p) * G(R at feed), with
-    G(R) = exp(-j*k*R)/R: three spherical waves launched from the source
-    wire's ends and feed, observed at transverse distance rho and height
-    z above the observer center (the centers sit dz apart along z).
-    Times k/sin(k*h_p) this is the reduced z-component of the field of
-    the sinusoidal source current. Vectorized over scalar or ndarray z.
-
-    Raises DomainError if the point lands exactly on a source singularity.
-    """
-    cos_kh = math.cos(k * h_p)
-    acc = None
-    for xi, coef in ((h_p, 1.0), (-h_p, 1.0), (0.0, -2.0 * cos_kh)):
-        r = np.hypot(rho, dz + z - xi)
-        if np.any(r == 0):
-            raise DomainError(
-                "field point coincides with a source-wire end or feed; "
-                "no finite field value exists there"
-            )
-        term = coef * np.exp(-1j * k * r) / r
-        acc = term if acc is None else acc + term
-    return acc
+def _source_waves(h_p: float, k: float):
+    """(xi, coefficient) of the waves exp(-j*k*R)/R from the source-axis
+    points xi whose sum, times k/sin(k*h_p), is the source current's field."""
+    return (h_p, 1.0), (-h_p, 1.0), (0.0, -2.0 * math.cos(k * h_p))
 
 
 def _closed_form(rho, dz, h_p, h_q, k: float) -> np.ndarray:
@@ -183,40 +165,50 @@ def mutual_impedance(
     return complex(_closed_form(*_one_pair(source, observer, same, k), k)[0])
 
 
-def mutual_impedance_oracle(
-    source: Dipole,
-    observer: Dipole,
-    k: float,
-    same: bool = False,
-    rel_tol: float = 1e-9,
-) -> complex:
-    """Coupling impedance by direct integration of the field kernel.
+def mutual_impedance_oracle(source: Dipole, observer: Dipole, k: float,
+                            same: bool = False,
+                            rel_tol: float = 1e-9) -> complex:
+    """Coupling impedance by quadrature of the defining integral.
 
-    Integrates the source field against the observer current shape over
-    the observer extent with adaptive quadrature:
+        z = j*eta / (4*pi*sin(k*h_p)*sin(k*h_q)) * sum over _source_waves
+            of coefficient * integral of exp(-j*k*R)/R * sin(k*(h_q - |z|))
 
-        z = j*eta/(4*pi*k) * integral of E(z) * f_q(z) dz
+    over the observer z in [-h_q, h_q], R measured from the wave's source
+    point c = xi - dz on the observer axis. Each observer half is one
+    adaptive_quad call at rel_tol in v = asinh((z - c)/rho), where the
+    integrand exp(-j*k*rho*cosh(v)) * sin(...) is smooth; at rho = 0, or
+    |z - c| > 1e300*rho where v leaves double range, it is taken in z.
+    Independent of the closed form, it is its oracle; no production path
+    calls it.
 
-    with the field E(z) = k/sin(k*h_p) * _field_terms(z, ...).
-
-    Independent of the closed-form reduction, so it serves as its
-    correctness oracle; no production path calls it. Also covers
-    collinear pairs (rho = 0) with disjoint z extents.
-
-    Raises ResonantLength for guarded lengths and ConvergenceError if the
-    quadrature budget runs out.
+    Raises ResonantLength for guarded lengths, DegenerateGeometry when a
+    half taken in z holds a source point (collinear wires that touch or
+    overlap), and ConvergenceError if a half does not converge.
     """
     rho, dz, h_p, h_q = (float(v[0])
                          for v in _one_pair(source, observer, same, k))
-    sin_p, sin_q = np.sin(k * h_p), np.sin(k * h_q)
-
-    def integrand(z):
-        current = np.sin(k * (h_q - np.abs(z))) / sin_q
-        field = k / sin_p * _field_terms(z, rho, dz, h_p, k)
-        return field * current
-
-    coupling = adaptive_quad(integrand, -h_q, h_q, rel_tol)
-    return 1j * FREE_SPACE_IMPEDANCE / (4.0 * math.pi * k) * coupling
+    total = 0j
+    for xi, coef in _source_waves(h_p, k):
+        c = xi - dz
+        for lo, hi in ((-h_q, 0.0), (0.0, h_q)):
+            ends = lo, hi
+            if max(abs(lo - c), abs(hi - c)) <= 1e300 * rho:
+                def wave(v, c=c):
+                    return (np.exp(-1j * k * rho * np.cosh(v))
+                            * np.sin(k * (h_q - np.abs(c + rho * np.sinh(v)))))
+                ends = math.asinh((lo - c) / rho), math.asinh((hi - c) / rho)
+            elif lo <= c <= hi:
+                raise DegenerateGeometry(
+                    f"segment [{lo:.6g}, {hi:.6g}] m passes through its source "
+                    f"point at {c:.6g} m on the axis: the kernel integral is "
+                    "singular")
+            else:
+                def wave(z, c=c):
+                    r = np.hypot(rho, z - c)
+                    return np.exp(-1j * k * r) / r * np.sin(k * (h_q - np.abs(z)))
+            total += coef * adaptive_quad(wave, *ends, rel_tol)
+    scale = 1j * FREE_SPACE_IMPEDANCE / (4.0 * math.pi)
+    return scale * total / (math.sin(k * h_p) * math.sin(k * h_q))
 
 
 @dataclass(frozen=True, eq=False)

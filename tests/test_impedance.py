@@ -42,14 +42,19 @@ Pair = namedtuple("Pair", "rho dz h_p h_q")
 
 
 def field_kernel(z, geom, k) -> complex:
-    # the field the oracle integrates against the observer current
-    return k / math.sin(k * geom.h_p) * impedance._field_terms(
-        z, geom.rho, geom.dz, geom.h_p, k)
+    # the field the oracle integrates against the observer current: its
+    # three source waves, times k/sin(k*h_p)
+    waves = 0j
+    for xi, coef in impedance._source_waves(geom.h_p, k):
+        r = math.hypot(geom.rho, geom.dz + z - xi)
+        waves += coef * np.exp(-1j * k * r) / r
+    return k / math.sin(k * geom.h_p) * waves
 
 
 def current_weighted_potential(z, geom, k, tol=1e-12) -> complex:
     # inner integral of the field oracle: source current against the
-    # free-space Green function, observed at height z
+    # free-space Green function, observed at height z; split at the
+    # current's kink at the feed
     sin_p = math.sin(k * geom.h_p)
 
     def f(xi):
@@ -57,7 +62,8 @@ def current_weighted_potential(z, geom, k, tol=1e-12) -> complex:
         current = np.sin(k * (geom.h_p - np.abs(xi))) / sin_p
         return current * np.exp(-1j * k * r) / r
 
-    return adaptive_quad(f, -geom.h_p, geom.h_p, tol)
+    return (adaptive_quad(f, -geom.h_p, 0.0, tol)
+            + adaptive_quad(f, 0.0, geom.h_p, tol))
 
 
 def field_kernel_oracle(z, geom, k) -> complex:
@@ -172,10 +178,6 @@ class TestFieldKernel:
         ratio = abs(field_kernel(0.0, near, K)) / abs(field_kernel(0.0, far, K))
         assert abs(ratio - 10.0) <= 1.5
 
-    def test_point_on_singularity_raises(self):
-        with pytest.raises(DomainError):
-            impedance._field_terms(0.25, 0.0, 0.0, 0.25, K)
-
 
 def half_wave(x=0.0, y=0.0, z=0.0) -> Dipole:
     return Dipole(center=(x, y, z), half_length=LAM / 4, radius=LAM / 2000)
@@ -242,7 +244,8 @@ class TestMutualImpedance:
         b = mutual_impedance(p2, q2, K)
         assert abs(a - b) <= 1e-10 * abs(a)
 
-    @pytest.mark.parametrize("rho", [0.0, 1e-300, 1e-15, 1e-9, 1e-6, 1e-5])
+    @pytest.mark.parametrize("rho", [0.0, 1e-310, 1e-300, 1e-15, 1e-9, 1e-6,
+                                     1e-5])
     def test_collinear_pair_closed_form(self, rho):
         # coaxial and nearly coaxial wires with disjoint spans: for each
         # phase sign the observer lies behind the source points (on-axis
@@ -256,14 +259,27 @@ class TestMutualImpedance:
     def test_interleaved_near_collinear_pair_matches_mpmath(self):
         # axes 1e-12 m apart, z spans overlapping by 0.2 lambda: the wave
         # from the source's upper end peaks 1e-12 m off the observer wire,
-        # where quadrature of its 1/R peak does not converge
+        # which the oracle's asinh variable flattens
         p = Dipole((0.0, 0.0, 0.0), LAM / 4, 2.5e-13)
         q = Dipole((1e-12, 0.0, 0.3 * LAM), LAM / 4, 2.5e-13)
         Scene(p, q, (half_wave(x=LAM),), FREQ)  # an admissible pair
         value = mutual_impedance(p, q, K)
+        oracle = mutual_impedance_oracle(p, q, K, rel_tol=1e-12)
         geom = Pair(*(float(v[0]) for v in pair_geometry([p, q], [0], [1])))
         reference = mpmath_mutual_impedance(geom, K)
         assert abs(value - reference) <= 1e-12 * abs(reference)
+        assert abs(oracle - reference) <= 1e-12 * abs(reference)
+
+    @pytest.mark.parametrize("radius", [LAM / 2000, 1e-9],
+                             ids=["lambda_over_2000", "1e-9m"])
+    def test_oracle_self_term_matches_mpmath(self, radius):
+        # the half-wave self term: the source ends sit one radius off the
+        # observer's ends
+        d = Dipole((0.0, 0.0, 0.0), LAM / 4, radius)
+        oracle = mutual_impedance_oracle(d, d, K, same=True, rel_tol=1e-12)
+        geom = Pair(d.radius, 0.0, d.half_length, d.half_length)
+        reference = mpmath_mutual_impedance(geom, K)
+        assert abs(oracle - reference) <= 1e-12 * abs(reference)
 
     def test_resonant_length_raises(self):
         p = Dipole(center=(0, 0, 0), half_length=LAM / 2, radius=LAM / 2000)
@@ -288,8 +304,9 @@ class TestMutualImpedance:
         p = half_wave()
         q = Dipole((0.0, 0.0, z), half_length, LAM / 2000)
         for a, b in ((p, q), (q, p)):
-            with pytest.raises(DegenerateGeometry, match="source point"):
-                mutual_impedance(a, b, K)
+            for coupling in (mutual_impedance, mutual_impedance_oracle):
+                with pytest.raises(DegenerateGeometry, match="source point"):
+                    coupling(a, b, K)
 
     def test_bad_wavenumber_raises(self):
         p, q = half_wave(), half_wave(x=LAM)

@@ -1,6 +1,7 @@
 """Exponential integral and adaptive quadrature against defining integrals."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -182,12 +183,28 @@ class TestAdaptiveQuad:
         exact = (np.exp(1j * w) - 1.0) / (1j * w)
         assert abs(value - exact) <= 1e-9 * abs(exact)
 
-    def test_budget_exhaustion_raises(self, monkeypatch):
-        # sin(1/u)/u oscillates without bound toward 0; a tight tolerance
-        # cannot be met within the interval budget.
-        monkeypatch.setattr(wirecoupling.special, "_MAX_INTERVALS", 2000)
-        with pytest.raises(ConvergenceError, match="2000 subintervals"):
-            adaptive_quad(lambda u: np.sin(1.0 / u) / u, 1e-8, 1.0, 1e-13)
+    def test_budget_exhaustion_raises(self):
+        # sin(1/u)/u oscillates without bound toward 0; no rule up to the
+        # largest meets a tight tolerance, and the error names the last
+        # two rules and their real disagreement
+        f = lambda u: np.sin(1.0 / u) / u
+        a, b, top = 1e-8, 1.0, wirecoupling.special._MAX_NODES
+        with pytest.raises(ConvergenceError,
+                           match=f"{top // 2}- and {top}-node") as err:
+            adaptive_quad(f, a, b, 1e-13)
+        rules = []
+        for n in (top // 2, top):
+            nodes, weights = np.polynomial.legendre.leggauss(n)
+            rules.append(0.5 * (b - a) * (weights @ f(0.5 * (a + b)
+                                                      + 0.5 * (b - a) * nodes)))
+        gap = float(re.search(r"disagree by (\S+),", str(err.value)).group(1))
+        assert gap == pytest.approx(abs(rules[1] - rules[0]), rel=1e-3)
+
+    def test_cancelling_integral_stops_at_roundoff(self):
+        # an odd integrand over a symmetric interval integrates to 0, which
+        # no relative tolerance reaches; the roundoff floor ends the rules
+        value = adaptive_quad(lambda u: np.sin(u) + 1j * u ** 3, -1.0, 1.0, 1e-12)
+        assert abs(value) <= 1e-15
 
     def test_rejects_bad_interval_and_tolerance(self):
         with pytest.raises(DomainError):
