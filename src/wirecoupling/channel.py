@@ -16,9 +16,9 @@ its residual is one zgemv of the system, which the optimizer keeps and
 moves one diagonal entry at a time, and its condition number is checked
 on an O(N) upper bound, on the exact norms only where that bound exceeds
 the cap. The update is then one zgeru into a new array. All matrix
-algebra runs on scipy's BLAS (LU, zgetri, zgemv, zgeru, dzasum, dznrm2):
-numpy links a second OpenBLAS, and switching between the two thread
-pools costs milliseconds.
+algebra runs on scipy's BLAS (LU, zgetri, zgemv, zgeru, zdotu, dzasum,
+dznrm2): numpy links a second OpenBLAS, and switching between the two
+thread pools costs milliseconds.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.blas import dzasum, dznrm2, zgemv, zgeru
+from scipy.linalg.blas import dzasum, dznrm2, zdotu, zgemv, zgeru
 from scipy.linalg.lapack import zgecon, zgetri, zgetri_lwork
 
 from .errors import DomainError, SingularSystem
@@ -95,22 +95,25 @@ def _residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     return zgemv(1.0, a.T, x, -1.0, b, trans=1)
 
 
-def _solve(imps: ImpedanceSet, entries: np.ndarray, cond_cap: float):
-    """Checked solve of (Z_ss + diag(entries)) x = z_st.
-
-    Returns ((lu, piv), x, h, cond). Raises DomainError for entries that
-    do not fit the surface, SingularSystem as described in end_to_end.
-    ImpedanceSet and TuningState check that their values are finite, and
-    the optimizer's entries stay within finite bounds, so scipy's
-    finiteness passes are skipped.
-    """
+def _system(imps: ImpedanceSet, entries: np.ndarray) -> np.ndarray:
+    """A = Z_ss + diag(entries) in a new array; DomainError for entries
+    that do not fit the surface."""
     n = imps.n_elements
     if entries.shape[0] != n:
-        raise DomainError(
-            f"tuning has {entries.shape[0]} entries, surface has {n} elements"
-        )
+        raise DomainError(f"tuning has {entries.shape[0]} entries, surface "
+                          f"has {n} elements")
     system = imps.z_ss.copy()
     system.flat[::n + 1] += entries
+    return system
+
+
+def _solve(imps: ImpedanceSet, system: np.ndarray):
+    """Checked solve of system x = z_st for a _system array, which
+    lu_factor copies (the optimizer keeps and moves it). Returns
+    ((lu, piv), x, h, cond); SingularSystem as described in end_to_end.
+    ImpedanceSet, TuningState and the optimizer's bounds keep the values
+    finite, so scipy's finiteness passes are skipped.
+    """
     with warnings.catch_warnings():
         # An exactly singular matrix makes the factorization warn; the
         # condition estimate below turns that case into a typed error.
@@ -122,10 +125,10 @@ def _solve(imps: ImpedanceSet, entries: np.ndarray, cond_cap: float):
     if info != 0:
         raise SingularSystem(f"condition estimator failed (info = {info})")
     cond = math.inf if rcond == 0 else 1.0 / float(rcond)
-    if cond > cond_cap:
+    if cond > CONDITION_CAP:
         raise SingularSystem(
             f"coupling system condition estimate {cond:.3e} exceeds the "
-            f"cap {cond_cap:.3e}"
+            f"cap {CONDITION_CAP:.3e}"
         )
 
     rhs = imps.z_st
@@ -143,7 +146,7 @@ def _solve(imps: ImpedanceSet, entries: np.ndarray, cond_cap: float):
                 f"{_RESIDUAL_REL_MAX:.1e} * |rhs| = "
                 f"{_RESIDUAL_REL_MAX * rhs_norm:.3e}"
             )
-    return (lu, piv), x, complex(imps.z_rt - np.dot(imps.z_rs, x)), cond
+    return (lu, piv), x, imps.z_rt - zdotu(imps.z_rs, x), cond
 
 
 def _channel(imps: ImpedanceSet, solved) -> ChannelResult:
@@ -169,7 +172,7 @@ def end_to_end(imps: ImpedanceSet, tuning: TuningState) -> ChannelResult:
     below 1e-10 of the right-hand side; DomainError when the tuning does
     not match the surface or the gain is undefined.
     """
-    return _channel(imps, _solve(imps, tuning.entries, CONDITION_CAP))
+    return _channel(imps, _solve(imps, _system(imps, tuning.entries)))
 
 
 @dataclass(frozen=True)
@@ -258,7 +261,7 @@ def _inverse(imps: ImpedanceSet, solved):
 
 
 def _rank1(imps: ImpedanceSet, norms, system: np.ndarray, state, idx: int,
-           t: float, cond_cap: float):
+           t: float):
     """state after element idx, already moved in system (A = Z_ss +
     diag(entries)), changed by j t: A^-1 -= coef c c^T with
     c = A^-1 e_idx (Sherman-Morrison). None when the update is not
@@ -302,11 +305,11 @@ def _rank1(imps: ImpedanceSet, norms, system: np.ndarray, state, idx: int,
                 ) * _BOUND_ROUNDING
     cond = a_bound * inv_norm
     inv = zgeru(-coef, col, col, a=inv)  # overwrite_a = 0: a new array
-    if not (math.isfinite(cond) and cond <= cond_cap):
+    if not (math.isfinite(cond) and cond <= CONDITION_CAP):
         with np.errstate(all="ignore"):
             inv_norm = np.linalg.norm(inv, 1)
         cond = (off + np.abs(system.diagonal())).max() * inv_norm
-        if not (math.isfinite(cond) and cond <= cond_cap):
+        if not (math.isfinite(cond) and cond <= CONDITION_CAP):
             return None
     return inv, x, y, h, inv_norm
 
@@ -349,10 +352,11 @@ def optimize_tuning(
         )
 
     # One checked solve of the start: its factorization serves the first
-    # sweep, and _channel raises the gain's DomainErrors up front.
-    entries = init.entries.copy()
+    # sweep, and _channel raises the gain's DomainErrors up front. The
+    # system is kept: a move writes its diagonal entry, a solve factors it.
+    entries, system = init.entries.copy(), _system(imps, init.entries)
     try:
-        solved = _solve(imps, entries, CONDITION_CAP)
+        solved = _solve(imps, system)
     except SingularSystem as exc:
         raise SingularSystem(
             f"every probed tuning state failed to solve: the initial "
@@ -361,8 +365,7 @@ def optimize_tuning(
     _channel(imps, solved)
     state, trace = _inverse(imps, solved), [abs(solved[2])]
     norms = _norms(imps, entries, lo, hi)
-    # A = Z_ss + diag(entries) of the present entries, built as in _solve
-    n, diag, system = entries.shape[0], imps.z_ss.diagonal(), imps.z_ss.copy()
+    n, diag = entries.shape[0], imps.z_ss.diagonal()
     stop_reason = "budget"
 
     for _ in range(budget):
@@ -378,12 +381,10 @@ def optimize_tuning(
                 entries[idx] = current.real + 1j * target
                 system[idx, idx] = diag[idx] + entries[idx]
                 proposal = None if checked else _rank1(
-                    imps, norms, system, state, idx, target - current.imag,
-                    CONDITION_CAP)
+                    imps, norms, system, state, idx, target - current.imag)
                 if proposal is None:
                     with suppress(SingularSystem):
-                        proposal = _inverse(imps, _solve(imps, entries,
-                                                         CONDITION_CAP))
+                        proposal = _inverse(imps, _solve(imps, system))
                 if proposal is not None and abs(proposal[3]) > abs(state[3]):
                     state = proposal
                 else:
@@ -392,8 +393,7 @@ def optimize_tuning(
             if checked or state is start_state:
                 break
             with suppress(SingularSystem):  # one checked solve per sweep
-                refreshed = _inverse(imps, _solve(imps, entries,
-                                                  CONDITION_CAP))
+                refreshed = _inverse(imps, _solve(imps, system))
                 if abs(refreshed[3]) > trace[-1]:
                     state = refreshed
                     break

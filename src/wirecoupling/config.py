@@ -359,8 +359,8 @@ def tuning_for_scene(cfg: SceneConfig,
                      scene: Scene) -> TuningState | OptimizeSpec | None:
     """The tuning directive for a (possibly re-gridded) scene.
 
-    Fixed entries are resized: a single configured entry broadcasts to any
-    element count; a full vector only fits scenes with the matching
+    Fixed entries are resized: all-equal entries (one entry included)
+    broadcast to any element count; differing ones fit only their own
     count. An optimize directive, or None, passes through unchanged.
     """
     if not isinstance(cfg.tuning, TuningState):

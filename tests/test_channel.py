@@ -404,19 +404,25 @@ class TestOptimizer:
     def test_matrix_products_use_scipy_blas(self, monkeypatch):
         # numpy and scipy link separate OpenBLAS builds, and switching
         # between their thread pools costs milliseconds, so the solve and
-        # the optimizer's steps take every matvec from scipy's zgemv.
+        # the optimizer's steps take every matvec from scipy's zgemv, and
+        # every solve forms h = z_rt - z_rs . x by scipy's zdotu.
         channel = wirecoupling.channel
-        calls = []
-        gemv = channel.zgemv
+        calls, dots, dot_counts = [], [], []
+        gemv, dotu = channel.zgemv, channel.zdotu
 
         def counting_gemv(*args, **kwargs):
             calls.append(1)
             return gemv(*args, **kwargs)
 
+        def counting_dotu(*args, **kwargs):
+            dots.append(1)
+            return dotu(*args, **kwargs)
+
         monkeypatch.setattr(channel, "zgemv", counting_gemv)
+        monkeypatch.setattr(channel, "zdotu", counting_dotu)
         imps = grid_imps()
         init = TuningState.from_reactances(np.zeros(16))
-        solved = channel._solve(imps, init.entries, 1e12)
+        solved = channel._solve(imps, channel._system(imps, init.entries))
         state = channel._inverse(imps, solved)
         entries = init.entries.copy()
         entries[5] = 150j
@@ -425,11 +431,13 @@ class TestOptimizer:
                  lambda: channel._inverse(imps, solved),
                  lambda: channel._rank1(imps, run_norms(imps, entries),
                                         imps.z_ss + np.diag(entries), state,
-                                        5, 150.0, 1e12))
+                                        5, 150.0))
         for step in steps:
-            del calls[:]
+            del calls[:], dots[:]
             assert step() is not None
             assert len(calls) >= 1
+            dot_counts.append(len(dots))
+        assert min(dot_counts[:2]) >= 1  # end_to_end, optimize_tuning
 
     def test_budget_20_on_4x4_grid(self):
         imps = grid_imps()
@@ -479,19 +487,21 @@ class TestOptimizer:
                     3.6508340312402643, 3.7501275317144205)
         assert result.trace == pytest.approx(per_step, rel=1e-12)
 
-    def test_rank1_update_matches_checked_solve(self):
+    def test_rank1_update_matches_checked_solve(self, monkeypatch):
         # One reactance move as a rank-1 update of the maintained inverse
         # agrees with a fresh checked solve; a cap below the exact 1-norm
         # condition of the moved system refuses it.
         channel = wirecoupling.channel
         imps = grid_imps()
         entries = np.zeros(16, dtype=complex)
-        state = channel._inverse(imps, channel._solve(imps, entries, 1e12))
+        state = channel._inverse(imps, channel._solve(
+            imps, channel._system(imps, entries)))
         entries[5] = 150j
         norms = run_norms(imps, entries)
         moved = channel._rank1(imps, norms, imps.z_ss + np.diag(entries),
-                               state, 5, 150.0, 1e12)
-        fresh = channel._inverse(imps, channel._solve(imps, entries, 1e12))
+                               state, 5, 150.0)
+        fresh = channel._inverse(imps, channel._solve(
+            imps, channel._system(imps, entries)))
         for got, want in zip(moved[:4], fresh[:4]):  # (A^-1, x, y, h)
             assert np.allclose(got, want, rtol=1e-10, atol=0.0)
         # the last entry is the O(N) bound on |A^-1|_1, exact after _inverse
@@ -499,10 +509,11 @@ class TestOptimizer:
         assert moved[4] >= np.linalg.norm(moved[0], 1)
         system = imps.z_ss + np.diag(entries)
         exact = np.linalg.norm(system, 1) * np.linalg.norm(fresh[0], 1)
-        assert channel._rank1(imps, norms, system, state, 5, 150.0,
-                              0.999 * exact) is None
-        assert channel._rank1(imps, norms, system, state, 5, 150.0,
-                              1.001 * exact) is not None
+        monkeypatch.setattr(channel, "CONDITION_CAP", 0.999 * exact)
+        assert channel._rank1(imps, norms, system, state, 5, 150.0) is None
+        monkeypatch.setattr(channel, "CONDITION_CAP", 1.001 * exact)
+        assert channel._rank1(imps, norms, system, state, 5,
+                              150.0) is not None
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8),
@@ -521,26 +532,30 @@ class TestOptimizer:
         imps = ImpedanceSet(z_rt=40.0 - 8.0j, z_st=rng.normal(size=n) + 0j,
                             z_rs=rng.normal(size=n) + 1j, z_ss=z_ss)
         entries = 1j * rng.uniform(-500.0, 500.0, n)
-        state = channel._inverse(imps, channel._solve(imps, entries, 1e12))
+        state = channel._inverse(imps, channel._solve(
+            imps, channel._system(imps, entries)))
         # every reactance the moves reach lies within +-(500 + 4 * 3000)
         norms = channel._norms(imps, entries, -12_500.0, 12_500.0)
-        for idx, t in moves:
-            idx %= n
-            entries[idx] += 1j * t
-            system = z_ss + np.diag(entries)
-            moved = channel._rank1(imps, norms, system, state, idx, t,
-                                   math.inf)
-            if moved is None:  # a move onto a pole or past the residual gate
-                break
-            exact = np.linalg.norm(moved[0], 1)
-            assert moved[4] >= exact
-            if moved[4] > exact:
-                a_norm = np.linalg.norm(system, 1)
-                capped = channel._rank1(imps, norms, system, state, idx, t,
-                                        a_norm * (exact + moved[4]) / 2.0)
-                assert capped is not None
-                assert capped[4] == np.linalg.norm(capped[0], 1)
-            state = moved
+        with pytest.MonkeyPatch.context() as patch:
+            for idx, t in moves:
+                idx %= n
+                entries[idx] += 1j * t
+                system = z_ss + np.diag(entries)
+                patch.setattr(channel, "CONDITION_CAP", math.inf)
+                moved = channel._rank1(imps, norms, system, state, idx, t)
+                if moved is None:  # onto a pole or past the residual gate
+                    break
+                exact = np.linalg.norm(moved[0], 1)
+                assert moved[4] >= exact
+                if moved[4] > exact:
+                    a_norm = np.linalg.norm(system, 1)
+                    patch.setattr(channel, "CONDITION_CAP",
+                                  a_norm * (exact + moved[4]) / 2.0)
+                    capped = channel._rank1(imps, norms, system, state, idx,
+                                            t)
+                    assert capped is not None
+                    assert capped[4] == np.linalg.norm(capped[0], 1)
+                state = moved
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8),
@@ -584,7 +599,7 @@ class TestOptimizer:
             _, a_bound, _ = channel._norms(imps, np.full(n, 1j * lo), lo, hi)
             assert a_bound >= np.linalg.norm(z_ss + 1j * hi * np.eye(n), 1)
 
-    def test_rank1_norm_bound_holds_where_it_is_tight(self):
+    def test_rank1_norm_bound_holds_where_it_is_tight(self, monkeypatch):
         # With B_00 = j s and t = r / (s (1 + r)), the update -coef c c^T
         # has B's phase in column 0, so |B|_1 + |coef| |c|_1 |c|_inf is
         # |B'|_1 exactly up to rounding. Decoupling element 0 (c = j s e_0)
@@ -592,6 +607,7 @@ class TestOptimizer:
         # carries, with dzasum(c) dznrm2(c) for |c|_1 |c|_inf, as tight.
         # The rounding margin must keep it on top.
         channel = wirecoupling.channel
+        monkeypatch.setattr(channel, "CONDITION_CAP", math.inf)
         rng = np.random.default_rng(3)
         for decoupled in [False] * 300 + [True] * 300:
             n = int(rng.integers(2, 4))
@@ -615,8 +631,7 @@ class TestOptimizer:
             state = (np.asfortranarray(inv), x, x, 1.0 + 0j,
                      np.linalg.norm(inv, 1))
             moved = channel._rank1(imps, run_norms(imps, entries),
-                                   imps.z_ss + np.diag(entries), state, 0, t,
-                                   math.inf)
+                                   imps.z_ss + np.diag(entries), state, 0, t)
             assert moved is not None
             assert moved[4] >= np.linalg.norm(moved[0], 1)
             if decoupled:  # the bound is within its rounding margin
@@ -742,7 +757,8 @@ class TestOptimizer:
         channel = wirecoupling.channel
         imps = grid_imps()
         entries = np.zeros(16, dtype=complex)
-        inv, *rest = channel._inverse(imps, channel._solve(imps, entries, 1e12))
+        inv, *rest = channel._inverse(imps, channel._solve(
+            imps, channel._system(imps, entries)))
         t = 128.0  # 1j / t and j t (j / t) = -1 are exact
         inv = inv.copy()
         inv[5, 5] = 1j / t
@@ -751,7 +767,7 @@ class TestOptimizer:
             warnings.simplefilter("error")
             assert channel._rank1(imps, run_norms(imps, entries),
                                   imps.z_ss + np.diag(entries), (inv, *rest),
-                                  5, t, 1e12) is None
+                                  5, t) is None
 
     def test_overflowing_step_is_refused_without_a_warning(self):
         # x near the largest double: the update x - s c overflows, which
@@ -759,8 +775,8 @@ class TestOptimizer:
         channel = wirecoupling.channel
         imps = grid_imps()
         entries = np.zeros(16, dtype=complex)
-        inv, x, *rest = channel._inverse(imps,
-                                         channel._solve(imps, entries, 1e12))
+        inv, x, *rest = channel._inverse(imps, channel._solve(
+            imps, channel._system(imps, entries)))
         x = np.finfo(float).max * (1.0 + 1j) * (-1.0) ** np.arange(16)
         x[5] = 1e300
         t = 150.0
@@ -772,7 +788,7 @@ class TestOptimizer:
             warnings.simplefilter("error")
             assert channel._rank1(imps, run_norms(imps, entries),
                                   imps.z_ss + np.diag(entries),
-                                  (inv, x, *rest), 5, t, 1e12) is None
+                                  (inv, x, *rest), 5, t) is None
 
     @pytest.mark.parametrize("corruption", [1e-6, math.nan],
                              ids=["residual", "non-finite"])
@@ -783,16 +799,16 @@ class TestOptimizer:
         channel = wirecoupling.channel
         imps = grid_imps()
         entries = np.zeros(16, dtype=complex)
-        inv, x, *rest = channel._inverse(imps,
-                                         channel._solve(imps, entries, 1e12))
+        inv, x, *rest = channel._inverse(imps, channel._solve(
+            imps, channel._system(imps, entries)))
         x = x.copy()
         x[5] += corruption
         state = (inv, x, *rest)
         arrays = [a.tobytes() for a in state[:3]]
         entries[5] = 150.0j
         assert channel._rank1(imps, run_norms(imps, entries),
-                              imps.z_ss + np.diag(entries), state, 5, 150.0,
-                              1e12) is None
+                              imps.z_ss + np.diag(entries), state,
+                              5, 150.0) is None
         assert [a.tobytes() for a in state[:3]] == arrays
 
     @pytest.mark.parametrize("side, budget, factorizations, gain_db", [

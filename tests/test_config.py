@@ -340,6 +340,16 @@ class TestTuningForScene:
         with pytest.raises(ConfigError, match="broadcast"):
             tuning_for_scene(cfg, shrunk)
 
+    def test_equal_entries_broadcast_to_any_count(self):
+        # Not only a single entry: a full vector of equal entries resizes.
+        data = grid_config(rows=1, cols=2)
+        data["tuning"] = {"entries": [{"re": 0.0, "im": -10.0},
+                                      {"re": 0.0, "im": -10.0}]}
+        cfg = parse_scene_config(data)
+        shrunk = resolve_sweep_scene(cfg, "spacing", 0.5 * LAM)
+        assert shrunk.n_elements == 1
+        assert tuning_for_scene(cfg, shrunk).entries.tolist() == [-10j]
+
     def test_absent_tuning_passes_through(self):
         cfg = parse_scene_config(elements_config())
         assert tuning_for_scene(cfg, cfg.scene) is None
