@@ -5,39 +5,34 @@ the tuning matrix). The transmitter-to-receiver transfer impedance is
 
     h = z_rt - z_rs^T (Z_ss + diag(tuning))^(-1) z_st
 
-computed with a checked LU solve. A cyclic coordinate-ascent optimizer
-adjusts per-element reactances to maximize |h|. Changing one load is a
-rank-1 update of the system, so each step moves a reactance straight to
-its exact maximizer over the bounds (a closed form from Sherman-Morrison)
-and updates the optimizer's inverse in O(N^2), under the same gates as
-the solve; one checked factorization per sweep bounds the drift. A step
-decides its gates from O(N) BLAS calls and scalars before it writes:
-its residual is one zgemv of the system, which the optimizer keeps and
-moves one diagonal entry at a time, and its condition number is checked
-on an O(N) upper bound, on the exact norms only where that bound exceeds
-the cap. The update is then one zgeru into a new array. All matrix
-algebra runs on scipy's BLAS (LU, zgetri, zgemv, zgeru, zdotu, dzasum,
-dznrm2): numpy links a second OpenBLAS, and switching between the two
-thread pools costs milliseconds.
+computed from one inverse of the system, which also gives its exact
+1-norm condition number and the solve's residual gate. A cyclic
+coordinate-ascent optimizer adjusts per-element reactances to maximize
+|h|. Changing one load is a rank-1 update of the system, so each step
+moves a reactance straight to its exact maximizer over the bounds (a
+closed form from Sherman-Morrison) and updates the optimizer's inverse
+in O(N^2), under the same gates as the solve; one checked inversion per
+sweep bounds the drift. A step decides its gates from O(N) vector
+products and scalars: its residual is one product with the system, which
+the optimizer keeps and moves one diagonal entry at a time, and its
+condition number is checked on an O(N) upper bound, on the exact norms
+only where that bound exceeds the cap. All of it is numpy (see _matvec
+for where a matrix-vector product leaves BLAS for einsum).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.blas import dzasum, dznrm2, zdotu, zgemv, zgeru
-from scipy.linalg.lapack import zgecon, zgetri, zgetri_lwork
 
 from .errors import DomainError, SingularSystem
 from .impedance import ImpedanceSet
 
 DEFAULT_REACTANCE_BOUNDS = (-2000.0, 2000.0)  # [ohm]
-CONDITION_CAP = 1e12  # largest accepted 1-norm condition estimate
+CONDITION_CAP = 1e12  # largest accepted 1-norm condition number
 DEFAULT_BUDGET = 20  # optimizer sweeps
 _RESIDUAL_REL_MAX = 1e-10
 # Relative margin on _rank1's O(N) norm bounds, so that rounding in the
@@ -45,9 +40,13 @@ _RESIDUAL_REL_MAX = 1e-10
 # |A^-1|_1 or |A|_1 above them. The bounds only decide when the exact
 # norms are needed, so the margin changes no decision.
 _BOUND_ROUNDING = 1.0 + 1e-9
-# _rank1's x - s c cannot overflow while its O(N) bound |x|_2 + |s| |c|_2
-# stays below this.
+# Neither _rank1's x - s c nor its residual A (x - s c) - z_st can
+# overflow while the O(N) bound |A|_1 (|x|_2 + |s| |c|_1) stays below this.
 _NO_OVERFLOW = 1e300
+
+# The system's inverse, by LU with partial pivoting (LAPACK's zgesv
+# against the identity). Every inversion goes through this name.
+lu_factor = np.linalg.inv
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +80,8 @@ class ChannelResult:
     h_e2e: transfer impedance [ohm]
     gain_db: 20*log10(|h_e2e / z_rt|), the level relative to the direct
              transmitter-receiver link
-    condition_estimate: 1-norm condition estimate of the solved system
+    condition_estimate: exact 1-norm condition number |A|_1 |A^-1|_1 of
+                        the solved system A
     """
 
     h_e2e: complex
@@ -89,10 +89,28 @@ class ChannelResult:
     condition_estimate: float
 
 
-def _residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x - b by zgemv on a's transpose, the Fortran-ordered view of the
-    C-ordered a: given a itself, f2py would copy it on every call."""
-    return zgemv(1.0, a.T, x, -1.0, b, trans=1)
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a x by BLAS, except for N = 64 to 127, where it is einsum.
+    OpenBLAS splits a zgemv over threads from N = 64 on; at N = 64 that
+    is a few microseconds of work per thread, and in about one fresh
+    process of five on a 2-vCPU VM the hand-off stalled for
+    milliseconds per call, where einsum takes 11 us. From N = 128 on, 18 fresh processes of
+    300 products each saw no such stall, and einsum costs about four
+    times as much as BLAS (80 against 18 us at N = 256)."""
+    if 64 <= a.shape[0] < 128:
+        return np.einsum("ij,j->i", a, x)
+    return a.dot(x)
+
+
+def _norm2(v: np.ndarray) -> float:
+    """|v|_2 by one vdot; NaN once the squares overflow."""
+    return math.sqrt(np.vdot(v, v).real)
+
+
+def _norm1(a: np.ndarray) -> float:
+    """|a|_1, the largest column sum of |a|, as np.linalg.norm(a, 1)
+    computes it, without its dispatch."""
+    return float(np.maximum.reduce(np.add.reduce(np.abs(a), axis=0)))
 
 
 def _system(imps: ImpedanceSet, entries: np.ndarray) -> np.ndarray:
@@ -108,50 +126,45 @@ def _system(imps: ImpedanceSet, entries: np.ndarray) -> np.ndarray:
 
 
 def _solve(imps: ImpedanceSet, system: np.ndarray):
-    """Checked solve of system x = z_st for a _system array, which
-    lu_factor copies (the optimizer keeps and moves it). Returns
-    ((lu, piv), x, h, cond); SingularSystem as described in end_to_end.
-    ImpedanceSet, TuningState and the optimizer's bounds keep the values
-    finite, so scipy's finiteness passes are skipped.
+    """Checked solve of system x = z_st for a _system array, which stays
+    intact (the optimizer keeps and moves it). Returns (A^-1, x, h,
+    cond, |A^-1|_1) with cond = |A|_1 |A^-1|_1; SingularSystem as
+    described in end_to_end.
     """
-    with warnings.catch_warnings():
-        # An exactly singular matrix makes the factorization warn; the
-        # condition estimate below turns that case into a typed error.
-        warnings.simplefilter("ignore")
-        lu, piv = lu_factor(system, check_finite=False)
-    if not np.all(np.isfinite(lu)):
-        raise SingularSystem("coupling system is singular (non-finite factors)")
-    rcond, info = zgecon(lu, np.linalg.norm(system, 1))
-    if info != 0:
-        raise SingularSystem(f"condition estimator failed (info = {info})")
-    cond = math.inf if rcond == 0 else 1.0 / float(rcond)
+    try:
+        inv = lu_factor(system)
+    except np.linalg.LinAlgError:
+        raise SingularSystem("coupling system is singular") from None
+    inv_norm = _norm1(inv)
+    if not math.isfinite(inv_norm):
+        raise SingularSystem("coupling system is singular (non-finite inverse)")
+    cond = _norm1(system) * inv_norm
     if cond > CONDITION_CAP:
         raise SingularSystem(
-            f"coupling system condition estimate {cond:.3e} exceeds the "
+            f"coupling system condition number {cond:.3e} exceeds the "
             f"cap {CONDITION_CAP:.3e}"
         )
 
     rhs = imps.z_st
-    x = lu_solve((lu, piv), rhs, check_finite=False)
-    rhs_norm = dznrm2(rhs)
-    r = _residual(system, x, rhs)
-    residual = dznrm2(r)
-    if residual > _RESIDUAL_REL_MAX * rhs_norm:
+    bound = _RESIDUAL_REL_MAX * _norm2(rhs)
+    x = _matvec(inv, rhs)
+    r = _matvec(system, x) - rhs
+    residual = _norm2(r)
+    if not residual <= bound:
         # One round of iterative refinement usually recovers the digits.
-        x = x - lu_solve((lu, piv), r, check_finite=False)
-        residual = dznrm2(_residual(system, x, rhs))
-        if residual > _RESIDUAL_REL_MAX * rhs_norm:
+        x = x - _matvec(inv, r)
+        residual = _norm2(_matvec(system, x) - rhs)
+        if not residual <= bound:
             raise SingularSystem(
                 f"solve residual {residual:.3e} stayed above "
-                f"{_RESIDUAL_REL_MAX:.1e} * |rhs| = "
-                f"{_RESIDUAL_REL_MAX * rhs_norm:.3e}"
+                f"{_RESIDUAL_REL_MAX:.1e} * |rhs| = {bound:.3e}"
             )
-    return (lu, piv), x, imps.z_rt - zdotu(imps.z_rs, x), cond
+    return inv, x, imps.z_rt - complex(np.dot(imps.z_rs, x)), cond, inv_norm
 
 
 def _channel(imps: ImpedanceSet, solved) -> ChannelResult:
     """ChannelResult of a _solve result; DomainError for an undefined gain."""
-    _, _, h, cond = solved
+    _, _, h, cond, _ = solved
     if imps.z_rt == 0:
         raise DomainError("gain is undefined for a vanishing direct link")
     if h == 0:
@@ -163,14 +176,15 @@ def _channel(imps: ImpedanceSet, solved) -> ChannelResult:
 def end_to_end(imps: ImpedanceSet, tuning: TuningState) -> ChannelResult:
     """Evaluate the transfer impedance for one tuning state.
 
-    Solves (Z_ss + diag(tuning)) x = z_st by LU with partial pivoting,
-    verifies the residual, and forms h = z_rt - z_rs . x with a plain
-    (unconjugated) dot product. Deterministic for fixed inputs.
+    Inverts A = Z_ss + diag(tuning) by LU with partial pivoting, takes
+    x = A^-1 z_st, verifies the residual (one round of refinement when
+    it misses), and forms h = z_rt - z_rs . x with a plain (unconjugated)
+    dot product. Deterministic for fixed inputs and BLAS thread count.
 
-    Raises SingularSystem when the factorization fails, the 1-norm
-    condition estimate exceeds CONDITION_CAP, or the residual will not shrink
-    below 1e-10 of the right-hand side; DomainError when the tuning does
-    not match the surface or the gain is undefined.
+    Raises SingularSystem when the inversion fails or is not finite, the
+    exact 1-norm condition number exceeds CONDITION_CAP, or the residual
+    will not shrink below 1e-10 of the right-hand side; DomainError when
+    the tuning does not match the surface or the gain is undefined.
     """
     return _channel(imps, _solve(imps, _system(imps, tuning.entries)))
 
@@ -246,71 +260,80 @@ def _norms(imps: ImpedanceSet, entries: np.ndarray, lo: float, hi: float):
     off = off.sum(axis=0)
     a_bound = ((off + np.abs(imps.z_ss.diagonal())).max()
                + np.abs(entries.real).max() + max(abs(lo), abs(hi)))
-    return off, a_bound * _BOUND_ROUNDING, dznrm2(imps.z_st)
+    return off, a_bound * _BOUND_ROUNDING, _norm2(imps.z_st)
 
 
 def _inverse(imps: ImpedanceSet, solved):
-    """(A^-1, x, y, h, |A^-1|_1) of a _solve result; zgetri inverts the
-    LU factors (into a new array: solved stays intact)."""
-    (lu, piv), x, h, _ = solved
-    lwork, _ = zgetri_lwork(x.shape[0])
-    inv, info = zgetri(lu, piv, lwork=int(lwork.real))
-    if info != 0:
-        raise SingularSystem(f"inversion of the factors failed (info = {info})")
-    return inv, x, zgemv(1.0, inv, imps.z_rs), h, np.linalg.norm(inv, 1)
+    """(A^-1, x, y, h, |A^-1|_1) of a _solve result, y = A^-1 z_rs."""
+    inv, x, h, _, inv_norm = solved
+    return inv, x, _matvec(inv, imps.z_rs), h, inv_norm
+
+
+def _updated(inv: np.ndarray, coef: complex, col: np.ndarray) -> np.ndarray:
+    """inv - coef col col^T in one new array: the outer product is
+    written and then overwritten by the difference, one N^2 allocation
+    where a plain expression makes two (a fifth of the time at N = 256)."""
+    out = (coef * col)[:, None] * col
+    return np.subtract(inv, out, out=out)
 
 
 def _rank1(imps: ImpedanceSet, norms, system: np.ndarray, state, idx: int,
            t: float):
     """state after element idx, already moved in system (A = Z_ss +
     diag(entries)), changed by j t: A^-1 -= coef c c^T with
-    c = A^-1 e_idx (Sherman-Morrison). None when the update is not
-    finite, or fails _solve's condition cap (on the exact
-    |A|_1 |A^-1|_1, never below zgecon's estimate) or residual gate.
-    norms is the run's _norms.
+    c = A^-1 e_idx (Sherman-Morrison), read as row idx of the inverse,
+    which is contiguous and, A being symmetric, the same vector. None
+    when the update is not finite or fails _solve's residual gate;
+    SingularSystem when it fails _solve's condition cap, on the same
+    exact |A|_1 |A^-1|_1, which a checked solve of the moved system
+    would refuse as well. norms is the run's _norms.
 
-    The residual gate is _solve's, one zgemv of system. The cap is
-    checked first on the O(N) bound a_bound (|B|_1 + |coef| dzasum(c)
-    dznrm2(c)), B the present inverse, as dzasum(c) >= |c|_1 and
-    dznrm2(c) >= |c|_inf; only where that bound exceeds the cap are the
-    exact norms taken, of the written update. A pass of the bound is a
-    pass of the exact gate, so every decision is the exact one, and all
-    but that last one are taken before anything is written. The state
-    carries the bound (exact after _inverse) as its |B|_1. Finiteness
-    follows from h, that bound and the 2-norms of x, y and c, which also
-    tell when x - s c needs np.errstate. The update writes a new array;
-    state is never modified.
+    The residual gate is _solve's, one product with system. The cap is
+    checked first on the O(N) bound a_bound (|B|_1 + |coef| |c|_1^2),
+    B the present inverse, as |c|_1 >= |c|_inf; only where that bound
+    exceeds the cap are the exact norms taken, of the written update.
+    A pass of the bound is a pass of the exact gate, so every decision
+    is the exact one. The state carries the bound (exact after _inverse)
+    as its |B|_1. Finiteness follows from h, that bound and the norms
+    of x, y and c, which with |A|_1 also tell when the update and its
+    residual need np.errstate. The update writes a new array; state is
+    never modified.
     """
     inv, x, y, h, inv_norm = state
     off, a_bound, z_st_norm = norms
     den = 1.0 + 1j * t * inv.item(idx, idx)
     if den == 0:  # det(A') = det(A) * den: the moved system is singular
         return None
-    coef, col = 1j * t / den, inv[:, idx]
+    coef, col = 1j * t / den, inv[idx]
     sx, sy = coef * x.item(idx), coef * y.item(idx)
     h = h + sx * y.item(idx)
-    col_norm = dznrm2(col)
-    if (dznrm2(x) + abs(sx) * col_norm < _NO_OVERFLOW
-            and dznrm2(y) + abs(sy) * col_norm < _NO_OVERFLOW):
+    col_sum = float(np.add.reduce(np.abs(col)))  # |c|_1 >= |c|_2 >= |c|_inf
+    if max(a_bound, 1.0) * max(_norm2(x) + abs(sx) * col_sum,
+                               _norm2(y) + abs(sy) * col_sum) < _NO_OVERFLOW:
         x, y = x - sx * col, y - sy * col
+        residual = _norm2(_matvec(system, x) - imps.z_st)
     else:
         with np.errstate(all="ignore"):  # a non-finite update fails below
             x, y = x - sx * col, y - sy * col
-        if not math.isfinite(dznrm2(y)):
+            residual = _norm2(_matvec(system, x) - imps.z_st)
+        if not math.isfinite(_norm2(y)):
             return None
-    if not (math.isfinite(abs(h)) and dznrm2(
-            _residual(system, x, imps.z_st)) <= _RESIDUAL_REL_MAX * z_st_norm):
+    if not (math.isfinite(abs(h))
+            and residual <= _RESIDUAL_REL_MAX * z_st_norm):
         return None
-    inv_norm = (inv_norm + abs(coef) * dzasum(col) * col_norm
-                ) * _BOUND_ROUNDING
+    inv_norm = (inv_norm + abs(coef) * col_sum * col_sum) * _BOUND_ROUNDING
     cond = a_bound * inv_norm
-    inv = zgeru(-coef, col, col, a=inv)  # overwrite_a = 0: a new array
-    if not (math.isfinite(cond) and cond <= CONDITION_CAP):
-        with np.errstate(all="ignore"):
-            inv_norm = np.linalg.norm(inv, 1)
-        cond = (off + np.abs(system.diagonal())).max() * inv_norm
-        if not (math.isfinite(cond) and cond <= CONDITION_CAP):
-            return None
+    if math.isfinite(cond) and cond <= CONDITION_CAP:
+        return _updated(inv, coef, col), x, y, h, inv_norm
+    with np.errstate(all="ignore"):
+        inv = _updated(inv, coef, col)
+        inv_norm = _norm1(inv)
+    cond = (off + np.abs(system.diagonal())).max() * inv_norm
+    if not cond <= CONDITION_CAP:
+        raise SingularSystem(
+            f"updated system condition number {cond:.3e} exceeds the "
+            f"cap {CONDITION_CAP:.3e}"
+        )
     return inv, x, y, h, inv_norm
 
 
@@ -327,8 +350,10 @@ def optimize_tuning(
     Cyclic coordinate ascent: each sweep moves each reactance in turn to
     its exact maximizer over the bounds (see _coordinate_step). A move
     updates the optimizer's inverse (_rank1) under end_to_end's gates, or
-    gets a checked solve where it fails them, and is accepted only when
-    |h_e2e| strictly rises. A sweep that moved ends with one checked
+    gets a checked solve where it fails the residual or finiteness gates
+    (never where it fails the condition cap, which a checked solve gates
+    on the same exact number), and is accepted only when |h_e2e|
+    strictly rises. A sweep that moved ends with one checked
     solve, its trace entry; should that fail or not rise above the last
     entry, the sweep is redone with a checked solve per proposal. The
     trace is non-decreasing. budget caps the sweeps; stop_reason is
@@ -351,10 +376,12 @@ def optimize_tuning(
             f"tuning reactances must lie within [{lo:g}, {hi:g}] ohm"
         )
 
-    # One checked solve of the start: its factorization serves the first
-    # sweep, and _channel raises the gain's DomainErrors up front. The
-    # system is kept: a move writes its diagonal entry, a solve factors it.
-    entries, system = init.entries.copy(), _system(imps, init.entries)
+    # One checked solve of the start: its inverse serves the first sweep,
+    # and _channel raises the gain's DomainErrors up front. The system is
+    # kept: a move writes its diagonal entry, a solve inverts it. The
+    # entries are Python complex numbers here: per-element arithmetic on
+    # numpy scalars costs several times as much.
+    entries, system = init.entries.tolist(), _system(imps, init.entries)
     try:
         solved = _solve(imps, system)
     except SingularSystem as exc:
@@ -364,27 +391,31 @@ def optimize_tuning(
         )
     _channel(imps, solved)
     state, trace = _inverse(imps, solved), [abs(solved[2])]
-    norms = _norms(imps, entries, lo, hi)
-    n, diag = entries.shape[0], imps.z_ss.diagonal()
+    norms = _norms(imps, init.entries, lo, hi)
+    n, diag = len(entries), imps.z_ss.diagonal().tolist()
     stop_reason = "budget"
 
     for _ in range(budget):
-        start_entries, start_state = entries.copy(), state
+        start_entries, start_state = list(entries), state
         for checked in (False, True):  # True: the redo, _solve per move
             entries[:], state = start_entries, start_state
-            system.flat[::n + 1] = diag + entries
+            system.flat[::n + 1] = [d + e for d, e in zip(diag, entries)]
             for idx in range(n):
                 current = entries[idx]
                 target = _coordinate_step(state, idx, current.imag, lo, hi)
                 if target == current.imag:
                     continue
-                entries[idx] = current.real + 1j * target
+                entries[idx] = complex(current.real, target)
                 system[idx, idx] = diag[idx] + entries[idx]
-                proposal = None if checked else _rank1(
-                    imps, norms, system, state, idx, target - current.imag)
-                if proposal is None:
-                    with suppress(SingularSystem):
+                # _rank1 raises where the exact condition cap refuses the
+                # move, which a checked solve would refuse as well.
+                try:
+                    proposal = None if checked else _rank1(
+                        imps, norms, system, state, idx, target - current.imag)
+                    if proposal is None:
                         proposal = _inverse(imps, _solve(imps, system))
+                except SingularSystem:
+                    proposal = None
                 if proposal is not None and abs(proposal[3]) > abs(state[3]):
                     state = proposal
                 else:

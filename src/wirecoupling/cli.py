@@ -16,6 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
+# argparse's gettext imports locale on the first parser build; importing
+# it here pays for it at start-up instead of inside the request.
+import locale  # noqa: F401
 import math
 import statistics
 import sys

@@ -266,8 +266,10 @@ def _keyed_closed_form(table: np.ndarray, k: float) -> np.ndarray:
     for bit, is evaluated once, the distinct rows in any order."""
     # Keys save at most the rows whose rho repeats: under a quarter, the
     # key sort would cost about what it saves, so every row is its own key.
+    # (np.unique without indices would import numpy.ma on first use.)
     inverse = slice(None)
-    if 4 * np.unique(table[:, 0]).size <= 3 * table.shape[0]:
+    rho = np.sort(table[:, 0])
+    if 4 * (1 + np.count_nonzero(rho[1:] != rho[:-1])) <= 3 * rho.size:
         keys = table.view(np.dtype((np.void, table.itemsize * table.shape[1])))
         _, first, inverse = np.unique(keys.ravel(), return_index=True,
                                       return_inverse=True)

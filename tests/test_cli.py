@@ -2,6 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -527,3 +532,35 @@ class TestValidateCommand:
             with pytest.raises(SystemExit) as exc:
                 main([argv[0], cfg_path, *argv[1:], "--oracle-tol", "1e-7"])
             assert exc.value.code == 2
+
+
+class TestImports:
+    def test_cli_requests_load_no_scipy(self, tmp_path):
+        # Each CLI request is a fresh interpreter, so what it imports is
+        # part of every request. Importing the CLI and running all four
+        # commands, an optimized channel included, loads no scipy module
+        # and not numpy.ma, which np.unique without indices imports.
+        fixed = write_config(tmp_path, grid_config(rows=2, cols=2), "fixed.json")
+        data = grid_config(rows=2, cols=2)
+        data["tuning"] = {"optimize": {"budget": 3}}
+        optimized = write_config(tmp_path, data, "optimized.json")
+        script = textwrap.dedent("""
+            import sys
+            import wirecoupling.cli as cli
+            fixed, optimized, out = sys.argv[1:]
+            sweep = ["--param", "spacing", "--from", "0.125", "--to", "0.25",
+                     "--points", "2"]
+            for argv in (["channel", fixed], ["channel", optimized],
+                         ["sweep", fixed, *sweep], ["impedance", fixed],
+                         ["validate", fixed, "--samples", "2"]):
+                assert cli.main([*argv, "--out", out]) == 0, argv
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                         or m == "numpy.ma" or m.startswith("numpy.ma.")))
+        """)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", script, fixed, optimized,
+             str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, check=True)
+        assert run.stdout.splitlines()[-1] == "[]"

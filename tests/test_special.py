@@ -7,9 +7,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from wirecoupling import ConvergenceError, DomainError, exp_integral_e1
+import wirecoupling.impedance
 import wirecoupling.special
-from wirecoupling.special import SICI_CROSSOVER, adaptive_quad
+from wirecoupling import (ConvergenceError, Dipole, DomainError, Scene,
+                          assemble_impedances, exp_integral_e1)
+from wirecoupling.special import FIT_MAX, SERIES_MAX, adaptive_quad
 
 
 def sine_integral(x: float) -> complex:
@@ -21,6 +23,46 @@ def cosine_integral(x: float) -> complex:
     # Ci(x) = gamma + ln(x) + integral of (cos(t) - 1)/t from 0 to x.
     tail = adaptive_quad(lambda t: (np.cos(t) - 1.0) / t, 0.0, x, 1e-12)
     return np.euler_gamma + math.log(x) + tail
+
+
+def mpmath_e1(c: complex) -> complex:
+    with mpmath.workdps(40):
+        return complex(mpmath.e1(mpmath.mpc(c.real, c.imag)))
+
+
+def worst_axis_error(xs) -> float:
+    # largest relative error of exp_integral_e1(j x) against mpmath
+    values = exp_integral_e1(1j * np.asarray(xs))
+    return max(abs(value - mpmath_e1(1j * x)) / abs(mpmath_e1(1j * x))
+               for x, value in zip(xs, values))
+
+
+def jittered_assembly_arguments() -> np.ndarray:
+    # x of every E1 argument j x of one assembly of an 8 x 8 lambda/8
+    # grid of 0.23 lambda wires, each moved by up to lambda/32 per axis,
+    # between a transmitter and a receiver 3 lambda off the centre
+    lam = 1.0
+    rng = np.random.default_rng(1)
+    surface = tuple(
+        Dipole(((c - 3.5) * lam / 8 + dx, (r - 3.5) * lam / 8 + dy, dz),
+               0.23 * lam, 0.002 * lam)
+        for r in range(8) for c in range(8)
+        for dx, dy, dz in [rng.uniform(-lam / 32, lam / 32, 3)])
+    scene = Scene(Dipole((0.0, -3.0, 0.0), 0.23, 0.002),
+                  Dipole((0.0, 3.0, 0.0), 0.23, 0.002), surface,
+                  299_792_458.0 / lam)
+    seen, e1 = [], wirecoupling.impedance.exp_integral_e1
+
+    def recording(c):
+        seen.append(np.array(c).ravel())
+        return e1(c)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wirecoupling.impedance, "exp_integral_e1", recording)
+        assemble_impedances(scene)
+    c = np.concatenate(seen)
+    assert np.all(c.real == 0.0) and np.all(c.imag > 0.0)
+    return c.imag
 
 
 class TestExpIntegral:
@@ -73,19 +115,53 @@ class TestExpIntegral:
 
     def test_imaginary_axis_matches_mpmath(self):
         # The closed-form couplings only evaluate E1 at j*k*L with L > 0,
-        # as one array: sici below the crossover, exp1 from it on.
-        rng = np.random.default_rng(31)
-        edge = SICI_CROSSOVER * (1.0 + np.array([-1e-3, -1e-15, 0.0, 1e-15,
-                                                 1e-3]))
-        xs = np.concatenate([10.0 ** rng.uniform(-8, 4, 1000), edge,
-                             rng.uniform(0.9, 1.1, 40) * SICI_CROSSOVER])
+        # as one array: a log grid from 1e-8 to 1e9, both sides of each
+        # switch between the series and the fits, and a dense stretch
+        # where the fits meet the series.
+        edges = np.array([SERIES_MAX, FIT_MAX])[:, None] * (
+            1.0 + np.array([-1e-3, -1e-15, 0.0, 1e-15, 1e-3]))
+        xs = np.concatenate([np.geomspace(1e-8, 1e9, 1500), edges.ravel(),
+                             np.linspace(0.9 * SERIES_MAX, 1.1 * FIT_MAX, 200)])
+        assert worst_axis_error(xs) <= 1e-14
         values = exp_integral_e1(1j * xs)
         assert values.shape == xs.shape
+        for x, value in zip(xs[::25], values[::25]):
+            assert exp_integral_e1(np.array([1j * x]))[0] == value
+
+    def test_jittered_assembly_arguments_match_mpmath(self):
+        # The arguments of one jittered 8 x 8 assembly, as the kernel
+        # passes them: every eighth of the 22k distinct ones in sorted
+        # order, which spans them all at mpmath's pace (the sici check
+        # below takes every one).
+        xs = np.unique(jittered_assembly_arguments())
+        assert xs.size > 20_000
+        assert worst_axis_error(xs[::8]) <= 1e-14
+
+    def test_imaginary_axis_matches_scipy_sici(self):
+        # A second reference below x = 40: E1(jx) = -Ci(x) + j (Si(x) -
+        # pi/2) from scipy.special.sici, whose Si - pi/2 cancels to about
+        # eps x relative. Above that, it is mpmath's alone.
+        from scipy.special import sici
+
+        xs = np.concatenate([np.geomspace(1e-8, 40.0, 4000),
+                             jittered_assembly_arguments()])
+        xs = xs[xs <= 40.0]
+        si, ci = sici(xs)
+        expected = -ci + 1j * (si - 0.5 * math.pi)
+        error = np.abs(exp_integral_e1(1j * xs) - expected) / np.abs(expected)
+        assert error.max() <= 2e-14
+
+    def test_continued_fraction_converges_at_its_depth(self):
+        # The fits interpolate the continued fraction from x = 4 on; cut
+        # at its fixed depth it is already within 3.5e-16 of mpmath there.
+        xs = np.concatenate([np.linspace(SERIES_MAX, 2.0 * FIT_MAX, 400),
+                             np.geomspace(2.0 * FIT_MAX, 1e12, 200)])
+        values = wirecoupling.special._continued_fraction(xs)
         for x, value in zip(xs, values):
             with mpmath.workdps(40):
-                expected = complex(mpmath.e1(mpmath.mpc(0.0, x)))
-            assert abs(value - expected) <= 1e-13 * abs(expected), x
-            assert exp_integral_e1(np.array([1j * x]))[0] == value
+                expected = complex(mpmath.e1(mpmath.mpc(0.0, x))
+                                   * mpmath.expj(x))
+            assert abs(value - expected) <= 3.5e-16 * abs(expected), x
 
     def test_off_axis_matches_mpmath(self):
         # Random magnitudes and angles, a third of them 1e-8 to 1e-1 rad
