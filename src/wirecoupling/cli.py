@@ -15,12 +15,12 @@ results land in JSON. Exit codes: 0 success, 1 configuration problem,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 # argparse's gettext imports locale on the first parser build; importing
 # it here pays for it at start-up instead of inside the request.
 import locale  # noqa: F401
 import math
-import statistics
 import sys
 from pathlib import Path
 
@@ -260,6 +260,11 @@ def _cmd_validate(cfg: SceneConfig, args) -> int:
 
     max_err = max(errors)
     passed = max_err <= VALIDATE_GATE
+    # The median as statistics.median takes it, without importing that
+    # module (or numpy.ma, which np.median loads): the middle value, or
+    # the midpoint of the middle two.
+    ranked = sorted(errors)
+    mid = len(ranked) // 2
     report = {
         "samples": args.samples,
         "seed": args.seed,
@@ -267,7 +272,7 @@ def _cmd_validate(cfg: SceneConfig, args) -> int:
         "oracle_rel_tol": args.oracle_tol,
         "gate_rel": VALIDATE_GATE,
         "max_rel_err": max_err,
-        "median_rel_err": statistics.median(errors),
+        "median_rel_err": (ranked[mid] + ranked[~mid]) / 2,
         "passed": passed,
         "comparisons": comparisons,
     }
@@ -331,8 +336,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    # The objects that exist when a command starts, its imports' above
+    # all, outlive it. Frozen for the command, no collection inside it
+    # scans them; otherwise where the import-time allocation count leaves
+    # the collector decides whether the command pays for a generation-1
+    # pass over them (1.2 ms of a 10 ms N = 64 channel request on a
+    # 2-vCPU VM).
+    gc.freeze()
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(load_scene_config(args.config), args)
     except (ConfigError, GeometryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -340,6 +352,8 @@ def main(argv=None) -> int:
     except WireCouplingError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

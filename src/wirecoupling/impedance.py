@@ -4,12 +4,15 @@ Each wire carries the classical sinusoidal current shape
 sin(k*(h - |z|)) / sin(k*h), normalized to unit feed current. The mutual
 impedance between two wires is the field of one integrated against the
 current of the other. In closed form (Gradoni & Di Renzo, IEEE WCL
-2021) that coupling needs the complex exponential integral at 18
-arguments per pair, collinear pairs included. This module provides that
-closed form as one kernel over arrays of wire pairs, the assembly of
-the coupling sets of scenes from it with each distinct pair evaluated
-once, and an adaptive-quadrature oracle of the defining integral that
-only tests and validation call.
+2021) that coupling is a weighted sum of differences of the complex
+exponential integral E1 across gaps between the axial offsets of the
+pair, collinear pairs included: nine offsets and 18 E1 arguments per
+pair, or five offsets and 10 arguments when the two wires have the same
+length, as the wires of a surface do. This module provides that closed
+form as one kernel over arrays of wire pairs, the assembly of the
+coupling sets of scenes from it with each distinct pair evaluated once,
+and an adaptive-quadrature oracle of the defining integral that only
+tests and validation call.
 """
 
 from __future__ import annotations
@@ -29,15 +32,12 @@ FREE_SPACE_IMPEDANCE = 376.730313668  # [ohm]
 # Guard for the 1/sin(k*h) current normalization near h = m*lambda/2.
 SIN_MIN = 1e-6
 
-# Wire pairs per kernel call. Each pair has 18 E1 arguments, so every
-# temporary of a chunk stays near 18k elements however large the scene;
-# larger chunks ran no faster at N = 64 to 1024.
+# Wire pairs per kernel call. A pair has 5 or 9 axial offsets, 4 or 6
+# gaps between them and 10 or 18 E1 arguments, so every temporary of a
+# chunk stays under 18k elements however large the scene. On a 2-vCPU
+# VM, chunks of 2048 pairs assembled jittered scenes of N = 256 and 1024
+# about 10 % faster, but made a fresh N = 64 request slower.
 PAIR_CHUNK = 1024
-
-
-def _first(values, mask):
-    """First entry of values where mask holds, as a Python number."""
-    return np.broadcast_to(values, np.shape(mask))[mask][0].item()
 
 
 def _check_lengths(wires, k: float, name) -> None:
@@ -61,57 +61,100 @@ def _source_waves(h_p: float, k: float):
     return (h_p, 1.0), (-h_p, 1.0), (0.0, -2.0 * math.cos(k * h_p))
 
 
+# Source points xi = _XI[b] * h_p, in the order of _source_waves.
+_XI = (1, -1, 0)
+
+
+def _table(identical: bool):
+    """Axial offsets and gaps of a kernel row, of identical wires or not.
+
+    The observer half from z = i*h_q to (i + 1)*h_q, i in (-1, 0), seen
+    from source point b spans the axial offsets t = dz + z - xi of its
+    two ends. Returns the distinct offsets as coefficient columns c_q,
+    c_p of t = dz + c_q*h_q + c_p*h_p, and the distinct gaps as offset
+    indices lo, hi with the halves (i, b) that span each, in the order of
+    their first half. For identical wires (h_p == h_q) the nine ends fold
+    into the five offsets dz + m*h, m = -2..2, and the six halves into
+    four gaps.
+    """
+    offsets, gaps = [], {}
+    for i in (-1, 0):
+        for b, xi in enumerate(_XI):
+            ends = [(a - xi, 0) if identical else (a, -xi) for a in (i, i + 1)]
+            offsets += [end for end in ends if end not in offsets]
+            gaps.setdefault(tuple(map(offsets.index, ends)), []).append((i, b))
+    c_q, c_p = np.array(offsets, dtype=float).T[:, :, None]
+    ends, halves = zip(*gaps.items())
+    lo, hi = map(list, zip(*ends))
+    return c_q, c_p, lo, hi, halves
+
+
+# Tables of the rows of identical wires and of all other rows.
+_TABLES = _table(True), _table(False)
+
+
 def _closed_form(rho, dz, h_p, h_q, k: float) -> np.ndarray:
     """Coupling impedances of the pairs of checked wires (_check_lengths)
-    given as the 1-D arrays of pair_geometry, with one exp_integral_e1
-    call on 18 arguments per pair; see mutual_impedance for the formula."""
+    given as the 1-D arrays of pair_geometry; see mutual_impedance for the
+    formula. Each row takes the _table of its kind, identical wires when
+    h_p == h_q: E1 at 10 arguments, or else 18."""
     if not k > 0:
         raise DomainError("mutual impedance: k must be positive")
-    sin_p, sin_q, cos_p = np.sin(k * h_p), np.sin(k * h_q), np.cos(k * h_p)
-    # Point axes: sign s in (+1, -1), observer point z in (-h_q, 0, +h_q),
-    # source point xi in (+h_p, -h_p, 0) at z0 = xi - dz on the observer
-    # axis, pair. The lower and upper observer halves join the points
-    # (lo, hi) = (0, 1) and (1, 2); t = z - z0.
-    s = np.array([1, -1]).reshape(2, 1, 1, 1)
-    zero = np.zeros_like(h_q)
-    z = np.stack([-h_q, zero, h_q])[:, None]
-    z0 = np.stack([h_p, -h_p, zero]) - dz
-    t = z - z0
-    r_plus = np.hypot(rho, t) + np.abs(t)
-    behind, ahead = s * t < 0.0, s * t > 0.0
-    lo, hi = slice(0, 2), slice(1, 3)
-    # A half behind its source point with (rho/t)^2 <= 1e-16 has R = |t|
-    # and R + s*t = rho^2/(R - s*t) <= 1e-16*|t|/2 to double precision:
-    # the phase is constant and the integral s*ln(r_plus(lo)/r_plus(hi)),
-    # the exact limit of the E1 difference. Collinear pairs take it.
-    on_axis = (behind[:, lo] & behind[:, hi]
-               & (rho <= 1e-8 * np.minimum(np.abs(t[lo]), np.abs(t[hi]))))
-    degenerate = (~on_axis & (rho * rho < sys.float_info.min)
-                  & ~(ahead[:, lo] & ahead[:, hi]))
-    if np.any(degenerate):
-        raise DegenerateGeometry(
-            f"segment [{_first(z[lo], degenerate):.6g}, "
-            f"{_first(z[hi], degenerate):.6g}] m passes through its source "
-            f"point at {_first(z0, degenerate):.6g} m on the axis: the "
-            "kernel integral is singular"
-        )
+    total = np.empty(np.shape(rho), dtype=complex)
+    identical = h_p == h_q
+    for rows, (c_q, c_p, lo, hi, halves) in zip((identical, ~identical),
+                                                _TABLES):
+        if not rows.any():
+            continue
+        r, d, hp, hq = rho[rows], dz[rows], h_p[rows], h_q[rows]
+        t = d + (c_q * hq + c_p * hp)
+        r_plus = np.sqrt(r * r + t * t) + np.abs(t)
+        # s*t < 0 for the phase signs s = +1, -1
+        behind = np.stack([t < 0.0, t > 0.0])
+        ahead = behind[::-1]
+        # A gap behind its source point with (rho/t)^2 <= 1e-16 has R = |t|
+        # and R + s*t = rho^2/(R - s*t) <= 1e-16*|t|/2 to double precision:
+        # the phase is constant and the E1 difference is exactly its limit
+        # ln(r_plus(lo)/r_plus(hi)). Collinear pairs take it. Only rows
+        # that come this near the axis can have such gaps or fail the
+        # check below.
+        on_axis = degenerate = False
+        if np.any((r <= 1e-8 * np.abs(t).max(axis=0))
+                  | (r * r < sys.float_info.min)):
+            on_axis = (behind[:, lo] & behind[:, hi] & (
+                r <= 1e-8 * np.minimum(np.abs(t[lo]), np.abs(t[hi]))))
+            degenerate = (~on_axis & (r * r < sys.float_info.min)
+                          & ~(ahead[:, lo] & ahead[:, hi]))
+        if np.any(degenerate):
+            _, g, j = np.argwhere(degenerate)[0]
+            i, b = halves[g][0]
+            raise DegenerateGeometry(
+                f"segment [{i * hq[j]:.6g}, {(i + 1) * hq[j]:.6g}] m passes "
+                f"through its source point at {_XI[b] * hp[j] - d[j]:.6g} m "
+                "on the axis: the kernel integral is singular"
+            )
 
-    # R + s*t, with the near-cancelling radical rewritten where s*t < 0.
-    # Past the check above, a zero one belongs to on-axis halves only,
-    # which do not use its E1, so it gets the harmless argument 1.
-    radical = np.where(behind, rho * rho / r_plus, r_plus)
-    e1 = exp_integral_e1(1j * (k * np.where(radical > 0.0, radical, 1.0)))
-    diff = np.where(on_axis, np.log(r_plus[lo] / r_plus[hi]),
-                    e1[:, lo] - e1[:, hi])
-    phase = np.exp(-1j * k * z0)
-    seg = s * np.stack([phase, phase.conj()])[:, None] * diff
-    # The observer-wire integral I(xi) for s0 = +1, -1: the phase s0*|z|
-    # gives the lower half the sign -s0 and the upper half s0.
-    wire = seg[::-1, 0] + seg[:, 1]
-    inner = wire[:, 0] + wire[:, 1] - 2.0 * cos_p * wire[:, 2]
-    total = (np.exp(1j * k * h_q) * inner[0]
-             - np.exp(-1j * k * h_q) * inner[1])
-    return FREE_SPACE_IMPEDANCE * total / (8.0 * math.pi * sin_p * sin_q)
+        # R + s*t, with the near-cancelling radical rewritten where s*t < 0.
+        # Past the check above, a zero one belongs to on-axis gaps only,
+        # which do not use its E1, so it gets the harmless argument 1.
+        radical = np.where(behind, r * r / r_plus, r_plus)
+        e1 = exp_integral_e1(1j * (k * np.where(radical > 0.0, radical, 1.0)))
+        diff = e1[:, lo] - e1[:, hi]
+        if np.any(on_axis):
+            diff = np.where(on_axis, np.log(r_plus[lo] / r_plus[hi]), diff)
+        # The lower (i = -1) and upper (i = 0) observer half from source
+        # point b weighs -/+ phi*exp(-/+j*k*h_q) * wave[b], phi =
+        # exp(j*k*dz), for s = +1, and the conjugate for s = -1; the
+        # halves of one gap add their weights.
+        phi, e_q, e_p = np.exp(1j * k * np.stack([d, hq, hp]))
+        half = -phi * e_q.conj(), phi * e_q
+        wave = e_p.conj(), e_p, -2.0 * e_p.real
+        value = 0.0
+        for g, spans in enumerate(halves):
+            w = sum(half[i + 1] * wave[b] for i, b in spans)
+            value = value + w * diff[0, g] + w.conj() * diff[1, g]
+        total[rows] = value / (e_p.imag * e_q.imag)
+    return FREE_SPACE_IMPEDANCE / (8.0 * math.pi) * total
 
 
 def _one_pair(source: Dipole, observer: Dipole, same: bool, k: float):
@@ -143,17 +186,28 @@ def mutual_impedance(
               s0 * exp(j*s0*k*h_q) * (I(+h_p) + I(-h_p)
                                       - 2*cos(k*h_p) * I(0))
 
-    With z0 = xi_p - dz and t = z - z0, each observer half with phase
-    sign s in (+1, -1) integrates to
-    s * exp(-j*k*s*z0) * (E1(j*k*(R + s*t)) at its lower end minus the
-    same at its upper end). That needs E1 at the observer's two ends and
-    centre, seen from each source point with each sign: 18 arguments,
-    and 3 phases up to conjugation. Where s*t < 0, R + s*t is computed
-    as rho^2 / (R + |t|) so no digits cancel. A half that lies behind
-    its source point on the axis, rho <= 1e-8*|t| at both ends, takes
-    the exact on-axis limit s * exp(-j*k*s*z0) * ln(r(lo) / r(hi)),
-    r = R + |t|; collinear pairs go through it, and no pair is
-    integrated numerically. This is a one-pair call of the kernel that
+    An observer point z seen from xi_p sits at the axial offset
+    t = dz + z - xi_p, at distance R = sqrt(rho^2 + t^2). The observer
+    half with phase sign s in (+1, -1) integrates to
+    s * exp(-j*k*s*(xi_p - dz)) * (E1(j*k*(R + s*t)) at its lower end
+    minus the same at its upper end). So the coupling is a weighted sum
+    of E1 differences across gaps between neighbouring offsets: for
+    s = +1 the lower and upper half seen from xi_p weigh
+    -/+ phi * exp(-/+j*k*h_q) * w * exp(-j*k*xi_p), phi = exp(j*k*dz),
+    with w = 1 at the source ends and w = -2*cos(k*h_p) at the feed;
+    s = -1 takes the conjugate weights, and halves that span the same
+    gap add theirs. The ends and
+    centre of the observer seen from the three source points give nine
+    offsets and six gaps, 18 E1 arguments. For wires of equal length h
+    (h_p == h_q, compared bit for bit) the offsets are the five
+    dz + m*h, m = -2..2, the gaps four, with weights phi * (-exp(-2jkh),
+    1 + 2*cos(kh)*exp(-jkh), -(1 + 2*cos(kh)*exp(jkh)), exp(2jkh)), and
+    E1 takes 10 arguments. Where s*t < 0, R + s*t is computed as
+    rho^2 / (R + |t|) so no digits cancel. A gap behind its source
+    point on the axis, rho <= 1e-8*|t| at both ends, takes the exact
+    on-axis limit ln(r(lo) / r(hi)), r = R + |t|, of its E1 difference;
+    collinear pairs go through it, and no pair is integrated
+    numerically. This is a one-pair call of the kernel that
     assemble_impedances runs over all pairs of a scene, and it returns
     bit for bit the value the assembly gives that pair.
 

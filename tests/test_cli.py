@@ -538,8 +538,9 @@ class TestImports:
     def test_cli_requests_load_no_scipy(self, tmp_path):
         # Each CLI request is a fresh interpreter, so what it imports is
         # part of every request. Importing the CLI and running all four
-        # commands, an optimized channel included, loads no scipy module
-        # and not numpy.ma, which np.unique without indices imports.
+        # commands, an optimized channel included, loads no scipy module,
+        # not numpy.ma, which np.unique without indices imports, and not
+        # statistics, which costs milliseconds of start-up for one median.
         fixed = write_config(tmp_path, grid_config(rows=2, cols=2), "fixed.json")
         data = grid_config(rows=2, cols=2)
         data["tuning"] = {"optimize": {"budget": 3}}
@@ -555,7 +556,8 @@ class TestImports:
                          ["validate", fixed, "--samples", "2"]):
                 assert cli.main([*argv, "--out", out]) == 0, argv
             print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
-                         or m == "numpy.ma" or m.startswith("numpy.ma.")))
+                         or m == "numpy.ma" or m.startswith("numpy.ma.")
+                         or m == "statistics"))
         """)
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)

@@ -249,12 +249,15 @@ class TestMutualImpedance:
     def test_collinear_pair_closed_form(self, rho):
         # coaxial and nearly coaxial wires with disjoint spans: for each
         # phase sign the observer lies behind the source points (on-axis
-        # limit below rho = 1e-8 of the distance) or ahead of them (E1)
+        # limit below rho = 1e-8 of the distance) or ahead of them (E1).
+        # Identical wires take the five-offset table, a longer observer
+        # the nine-offset one.
         p = half_wave()
-        q = half_wave(x=rho * LAM, z=0.8 * LAM)
-        value = mutual_impedance(p, q, K)
-        reference = mutual_impedance_oracle(p, q, K, rel_tol=1e-12)
-        assert abs(value - reference) <= 1e-11 * abs(reference)
+        for h_q in (LAM / 4, 0.3 * LAM):
+            q = Dipole((rho * LAM, 0.0, 0.8 * LAM), h_q, LAM / 2000)
+            value = mutual_impedance(p, q, K)
+            reference = mutual_impedance_oracle(p, q, K, rel_tol=1e-12)
+            assert abs(value - reference) <= 1e-11 * abs(reference)
 
     def test_interleaved_near_collinear_pair_matches_mpmath(self):
         # axes 1e-12 m apart, z spans overlapping by 0.2 lambda: the wave
@@ -274,12 +277,30 @@ class TestMutualImpedance:
                              ids=["lambda_over_2000", "1e-9m"])
     def test_oracle_self_term_matches_mpmath(self, radius):
         # the half-wave self term: the source ends sit one radius off the
-        # observer's ends
+        # observer's ends. The closed form takes it through the
+        # five-offset table of identical wires.
         d = Dipole((0.0, 0.0, 0.0), LAM / 4, radius)
         oracle = mutual_impedance_oracle(d, d, K, same=True, rel_tol=1e-12)
         geom = Pair(d.radius, 0.0, d.half_length, d.half_length)
         reference = mpmath_mutual_impedance(geom, K)
         assert abs(oracle - reference) <= 1e-12 * abs(reference)
+        value = mutual_impedance(d, d, K, same=True)
+        assert abs(value - reference) <= 1e-12 * abs(reference)
+
+    @pytest.mark.parametrize("rho, m", [(LAM / 2, 1), (1e-3 * LAM, 1),
+                                        (0.3 * LAM, 2)],
+                             ids=["dz=h", "dz=h-close", "dz=2h"])
+    def test_identical_echelon_pair_matches_mpmath(self, rho, m):
+        # side by side, shifted by m half-lengths: the axial offset
+        # dz - m*h of the five-offset table is exactly 0, R = rho there
+        h = 0.23 * LAM
+        p = Dipole((0.0, 0.0, 0.0), h, LAM / 2000)
+        q = Dipole((rho, 0.0, m * h), h, LAM / 2000)
+        geom = Pair(*(float(v[0]) for v in pair_geometry([p, q], [0], [1])))
+        assert geom.h_p == geom.h_q and geom.dz - m * geom.h_q == 0.0
+        value = mutual_impedance(p, q, K)
+        reference = mpmath_mutual_impedance(geom, K)
+        assert abs(value - reference) <= 1e-12 * abs(reference)
 
     def test_resonant_length_raises(self):
         p = Dipole(center=(0, 0, 0), half_length=LAM / 2, radius=LAM / 2000)
@@ -530,10 +551,12 @@ class TestArrayKernel:
         assert np.array_equal(chunked.z_rs, whole.z_rs)
 
     @pytest.mark.parametrize("plane", ["xy", "xz"])
-    def test_eighteen_e1_arguments_per_pair(self, monkeypatch, plane):
-        # E1 at the observer's ends and centre, from each source point
-        # with each phase sign, once for z_rt and once per distinct pair
-        # geometry; xz grids add collinear pairs
+    def test_ten_or_eighteen_e1_arguments_per_row(self, monkeypatch, plane):
+        # E1 at the distinct axial offsets of a row for each phase sign,
+        # once for z_rt and once per distinct pair geometry: 5 offsets
+        # for identical wires (the surface pairs and the half-wave z_rt
+        # link), 9 where the half-lengths differ (transmitter and
+        # receiver against the surface); xz grids add collinear pairs
         surface = build_grid(3, 3, spacing=LAM / 2, half_length=0.23 * LAM,
                              radius=0.002 * LAM, plane=plane)
         scene = Scene(half_wave(x=-4.0), half_wave(x=4.0), surface, FREQ)
@@ -546,9 +569,11 @@ class TestArrayKernel:
         monkeypatch.setattr(impedance, "exp_integral_e1", counting)
         assemble_impedances(scene)
         n = len(surface)
-        distinct = _distinct_pair_rows(scene)
-        assert sum(seen) == 18 * (1 + distinct)
-        assert sum(seen) < 18 * (1 + 2 * n + n * (n + 1) // 2)
+        rows = _distinct_pair_rows(scene)
+        identical = sum(h_p == h_q for _, _, h_p, h_q in rows)
+        assert 0 < identical < len(rows)
+        assert sum(seen) == 10 * (1 + identical) + 18 * (len(rows) - identical)
+        assert sum(seen) < 10 + 18 * 2 * n + 10 * n * (n + 1) // 2
 
     @pytest.mark.parametrize("jitter", [0.0, LAM / 32],
                              ids=["grid", "jittered"])
@@ -573,7 +598,7 @@ class TestArrayKernel:
 
         monkeypatch.setattr(impedance, "_closed_form", counting)
         assemble_impedances(scene)
-        distinct = _distinct_pair_rows(scene)
+        distinct = len(_distinct_pair_rows(scene))
         assert distinct < 2208
         batch = distinct if jitter == 0 else 2208
         assert sum(n for n, _ in rows) == 1 + batch
@@ -645,16 +670,16 @@ class TestArrayKernel:
         assert len(calls) == 2  # z_rt, then one chunk of distinct pairs
 
 
-def _distinct_pair_rows(scene) -> int:
-    """Distinct pair_geometry rows of a scene's 2N + N(N+1)/2 batched
-    pairs, counted as a set of tuples."""
+def _distinct_pair_rows(scene) -> set:
+    """Distinct pair_geometry rows (rho, dz, h_p, h_q) of a scene's
+    2N + N(N+1)/2 batched pairs, as a set of tuples."""
     n = scene.n_elements
     wires = (scene.transmitter, scene.receiver) + scene.surface
     element = range(2, n + 2)
     pairs = ([(0, e) for e in element] + [(e, 1) for e in element]
              + [(p, q) for q in element for p in element if p >= q])
     src, obs = zip(*pairs)
-    return len(set(zip(*pair_geometry(wires, src, obs))))
+    return set(zip(*pair_geometry(wires, src, obs)))
 
 
 def _same_bits(a, b) -> bool:
