@@ -1,11 +1,10 @@
-"""Complex exponential integral and adaptive quadrature.
+"""Exponential integral on the imaginary axis, and adaptive quadrature.
 
-  * exp_integral_e1: E1(c) on the principal branch, scalar or array,
-    behind domain guards. On the positive imaginary axis, where the
-    closed-form couplings evaluate it, numpy alone computes it: E1's
-    power series below x = 4, polynomial fits above, their coefficients
-    derived at import from E1's continued fraction. Other arguments go
-    to scipy.special.exp1, imported on first use.
+  * exp_integral_e1: E1(c) for c = j*x, x > 0, the only arguments the
+    closed-form couplings use, for an array of any shape; any other
+    argument raises DomainError. numpy alone computes it: E1's power
+    series below x = 4, polynomial fits above, their coefficients
+    derived at import from E1's continued fraction.
   * adaptive_quad: Gauss-Legendre rules of doubling order, from numpy,
     for complex integrands smooth on a real interval; only the
     quadrature oracle and the tests call it.
@@ -22,8 +21,6 @@ from numpy.polynomial import chebyshev
 
 from .errors import ConvergenceError, DomainError
 
-_CUT_MARGIN = 1e-9          # arguments with |arg c| >= pi - margin are rejected
-_MIN_REAL = -600.0          # exp(-c) overflows well past this, E1 ~ 1e260
 # On the axis c = j*x: the power series for x < SERIES_MAX, a fit of
 # E1(jx) itself up to FIT_MAX, and from there fits of the auxiliary
 # functions f and g with E1(jx) = (g(x) - j*f(x)) * exp(-j*x).
@@ -99,8 +96,31 @@ def _horner(coef: list, t: np.ndarray) -> np.ndarray:
     return z
 
 
-def _on_axis(x: np.ndarray) -> np.ndarray:
-    """E1(jx) for a 1-D array of x > 0 (finite)."""
+def exp_integral_e1(c):
+    """E1(c) = integral of exp(-u)/u for u from c to infinity, for c = j*x
+    with finite x > 0: the positive imaginary axis, where the closed-form
+    couplings evaluate it.
+
+    c is an array and the result a complex array of its shape. numpy
+    alone evaluates it: E1's power series for x < SERIES_MAX, a
+    polynomial fit of E1(jx) up to FIT_MAX and, from there, polynomial
+    fits in 1/x of the auxiliary functions f and g with
+    E1(jx) = (g - j*f) * exp(-j*x), which leave no Si - pi/2 to cancel.
+    The fits interpolate E1's continued fraction at Chebyshev points,
+    computed at import. Against mpmath, the worst relative error for x
+    in [1e-8, 1e9] is 4.5e-15, near x = 4 where the series' terms reach
+    17 |E1|.
+
+    Raises DomainError, for the whole array, if any argument has a real
+    part or an imaginary part that is not finite and positive.
+    """
+    c = np.asarray(c, dtype=complex)
+    x = c.imag.ravel()
+    # a NaN fails both comparisons
+    if x.size and not (x.min() > 0.0 and x.max() < math.inf
+                       and not np.any(c.real)):
+        raise DomainError(
+            "exp_integral_e1: arguments must be j*x with finite x > 0")
     out = np.empty(x.shape, dtype=complex)
     low, high = x < SERIES_MAX, x >= FIT_MAX
     mid = ~(low | high)
@@ -131,64 +151,7 @@ def _on_axis(x: np.ndarray) -> np.ndarray:
         cos, sin = np.cos(s), np.sin(s)
         out.real[high] = g * cos - f * sin
         out.imag[high] = -(f * cos + g * sin)
-    return out
-
-
-def exp_integral_e1(c):
-    """E1(c) = integral of exp(-u)/u for u from c to infinity.
-
-    Principal branch, |arg(c)| < pi; c is an array and the result a
-    complex array of its shape. c = j*x with x > 0, every argument the
-    closed-form couplings use, is evaluated by numpy alone: E1's power
-    series for x < SERIES_MAX, a polynomial fit of E1(jx) up to FIT_MAX
-    and, from there, polynomial fits in 1/x of the auxiliary functions
-    f and g with E1(jx) = (g - j*f) * exp(-j*x), which leave no
-    Si - pi/2 to cancel. The fits interpolate E1's continued fraction
-    at Chebyshev points, computed at import. Against mpmath, the worst
-    relative error on the imaginary axis for x in [1e-8, 1e9] is 4.5e-15,
-    near x = 4 where the series' terms reach 17 |E1|. Every other
-    argument goes to scipy.special.exp1, imported on first use; there
-    the error stays near 2e-13, except just inside |c| = 5 in the right
-    half-plane, where scipy's power series cancels and the error reaches
-    2e-12.
-
-    Raises DomainError if any argument is 0, is non-finite, lies on or
-    within 1e-9 radians of the branch cut, or has Re(c) < -600 where the
-    result overflows double precision; the guards run in that order over
-    the whole array.
-    """
-    c = np.asarray(c, dtype=complex)
-    x = c.imag
-    # All on the positive axis, finite: every guard passes (a NaN fails
-    # both comparisons and takes the guarded path).
-    flat = x.ravel()
-    if (flat.size and flat.min() > 0.0 and flat.max() < math.inf
-            and not np.any(c.real)):
-        return _on_axis(flat).reshape(c.shape)
-    if np.any(c == 0):
-        raise DomainError("exp_integral_e1: argument must be nonzero")
-    if not np.all(np.isfinite(c)):
-        raise DomainError("exp_integral_e1: argument must be finite")
-    left = c[c.real < 0.0]
-    if np.any(np.abs(np.angle(left)) >= math.pi - _CUT_MARGIN):
-        raise DomainError(
-            "exp_integral_e1: argument too close to the branch cut "
-            "along the negative real axis"
-        )
-    low = left.real[left.real < _MIN_REAL]
-    if low.size:
-        raise DomainError(
-            "exp_integral_e1: result exceeds double-precision range "
-            f"for Re(c) = {low[0]:.3g}"
-        )
-    axis = (c.real == 0.0) & (x > 0.0)
-    out = np.empty(c.shape, dtype=complex)
-    out[axis] = _on_axis(x[axis])
-    rest = ~axis
-    if np.any(rest):
-        from scipy.special import exp1
-        out[rest] = exp1(c[rest])
-    return out
+    return out.reshape(c.shape)
 
 
 # Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].

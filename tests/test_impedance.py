@@ -441,6 +441,50 @@ class TestAssembly:
         assert abs(imps.z_ss[0, 0]) > abs(imps.z_ss[0, 1])
 
 
+    def test_real_parts_match_far_field_overlap(self):
+        # Re Z_pq of parallel z-directed wires is the overlap of their far
+        # fields on the sphere, one smooth theta integral once the azimuth
+        # gives J0: an oracle with no E1 and no near-field quadrature.
+        # Mixed lengths and axial offsets, every self term at rho = radius.
+        from scipy.special import j0
+
+        def far_field_resistance(p, q, rho):
+            def pattern(h, c):
+                # cos(k h c) - cos(k h), as a product that does not cancel
+                return -2.0 * np.sin(K * h * (c + 1) / 2) * np.sin(K * h * (c - 1) / 2)
+
+            def overlap(theta):
+                c, s = np.cos(theta), np.sin(theta)
+                return (pattern(p.half_length, c) * pattern(q.half_length, c)
+                        * j0(K * rho * s) * np.cos(K * dz * c) / s)
+
+            dz = q.center[2] - p.center[2]
+            value = adaptive_quad(overlap, 0.0, math.pi, 1e-13).real
+            return impedance.FREE_SPACE_IMPEDANCE * value / (
+                2 * math.pi * math.sin(K * p.half_length) * math.sin(K * q.half_length))
+
+        surface = tuple(
+            Dipole(((i % 3 - 1) * LAM / 8, (i // 3) * LAM / 8, dz * LAM),
+                   h * LAM, LAM / 500)
+            for i, (h, dz) in enumerate([(0.23, 0.0), (0.2, 0.1), (0.27, -0.15),
+                                         (0.23, 0.05), (0.3, 0.0), (0.2, 0.0)]))
+        tx = Dipole((0.2 * LAM, -2.0 * LAM, 0.3 * LAM), LAM / 4, LAM / 500)
+        rx = Dipole((-0.4 * LAM, 1.5 * LAM, -0.2 * LAM), 0.3 * LAM, LAM / 500)
+        imps = assemble_impedances(Scene(tx, rx, surface, FREQ))[0]
+
+        def rho(p, q):
+            if p is q:
+                return p.radius
+            return math.dist(p.center[:2], q.center[:2])
+
+        checks = [(imps.z_st[i], tx, w) for i, w in enumerate(surface)]
+        checks += [(imps.z_rs[i], w, rx) for i, w in enumerate(surface)]
+        checks += [(imps.z_ss[i, j], surface[i], surface[j])
+                   for i in range(len(surface)) for j in range(i, len(surface))]
+        for z, p, q in checks:
+            assert abs(z.real - far_field_resistance(p, q, rho(p, q))) <= 1e-13 * abs(z)
+
+
 class TestImpedanceSet:
     def test_shape_validation(self):
         good = np.array([[70.0 + 40.0j]])

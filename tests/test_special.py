@@ -66,45 +66,6 @@ def jittered_assembly_arguments() -> np.ndarray:
 
 
 class TestExpIntegral:
-    def test_unity_matches_defining_integral(self):
-        # The integrand decays to ~4e-24 by u = 50; the truncated tail is
-        # far below the comparison tolerance.
-        reference = adaptive_quad(lambda u: np.exp(-u) / u, 1.0, 50.0, 1e-12)
-        value = exp_integral_e1(np.array([1.0]))[0]
-        assert abs(value - reference) <= 1e-9 * abs(reference)
-        assert value.imag == 0.0
-        assert abs(value - 0.2193839343955203) <= 5e-14
-
-    def test_conjugate_symmetry(self):
-        rng = np.random.default_rng(11)
-        checked = 0
-        while checked < 1000:
-            magnitude = 10.0 ** rng.uniform(-8, 4)
-            angle = rng.uniform(1e-3, math.pi - 1e-3)
-            if rng.uniform() < 0.5:
-                angle = -angle
-            c = magnitude * complex(math.cos(angle), math.sin(angle))
-            if c.real < -550.0:
-                continue  # overflow guard region, rejected by design
-            direct = exp_integral_e1(np.array([c.conjugate()]))[0]
-            mirrored = exp_integral_e1(np.array([c]))[0].conjugate()
-            assert abs(direct - mirrored) <= 1e-13 * abs(mirrored)
-            checked += 1
-
-    def test_derivative_matches_closed_form(self):
-        # dE1/dc = -exp(-c)/c, probed by central differences in the right
-        # half-plane where cancellation stays mild.
-        rng = np.random.default_rng(23)
-        for _ in range(100):
-            magnitude = 10.0 ** rng.uniform(-1, 3)
-            angle = rng.uniform(-math.pi / 2 + 0.05, math.pi / 2 - 0.05)
-            c = magnitude * complex(math.cos(angle), math.sin(angle))
-            step = 1e-6 * abs(c)
-            ends = exp_integral_e1(np.array([c + step, c - step]))
-            numeric = (ends[0] - ends[1]) / (2.0 * step)
-            exact = -np.exp(-c) / c
-            assert abs(numeric - exact) <= 1e-6 * abs(exact)
-
     def test_imaginary_axis_matches_sine_cosine_integrals(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -125,6 +86,8 @@ class TestExpIntegral:
         assert worst_axis_error(xs) <= 1e-14
         values = exp_integral_e1(1j * xs)
         assert values.shape == xs.shape
+        for shaped in (np.empty(0), np.array(2.5), xs[:12].reshape(3, 4)):
+            assert exp_integral_e1(1j * shaped).shape == shaped.shape
         for x, value in zip(xs[::25], values[::25]):
             assert exp_integral_e1(np.array([1j * x]))[0] == value
 
@@ -163,66 +126,17 @@ class TestExpIntegral:
                                    * mpmath.expj(x))
             assert abs(value - expected) <= 3.5e-16 * abs(expected), x
 
-    def test_off_axis_matches_mpmath(self):
-        # Random magnitudes and angles, a third of them 1e-8 to 1e-1 rad
-        # from the cut, plus a ring at |c| = 4.9. There scipy still sums
-        # the power series, whose terms reach ~3e4 |E1(c)| in the right
-        # half-plane: the cancellation costs up to 3.9e-12 relative at
-        # unit roundoff. Hence 1e-11 here, against 1e-13 on the axis.
-        rng = np.random.default_rng(37)
-        points = [4.9 * complex(math.cos(a), math.sin(a))
-                  for a in np.linspace(-math.pi / 2, math.pi / 2, 181)]
-        while len(points) < 1200:
-            magnitude = 10.0 ** rng.uniform(-8, 4)
-            if rng.uniform() < 1.0 / 3.0:
-                angle = math.pi - 10.0 ** rng.uniform(-8, -1)
-            else:
-                angle = rng.uniform(0.0, math.pi)
-            if rng.uniform() < 0.5:
-                angle = -angle
-            c = magnitude * complex(math.cos(angle), math.sin(angle))
-            if -550.0 <= c.real <= 600.0:  # no overflow, no underflow
-                points.append(c)
-        for c in points:
-            with mpmath.workdps(40):
-                expected = complex(mpmath.e1(mpmath.mpc(c.real, c.imag)))
-            value = exp_integral_e1(np.array([c]))[0]
-            assert abs(value - expected) <= 1e-11 * abs(expected), c
-
-    def test_rejects_zero(self):
-        with pytest.raises(DomainError):
-            exp_integral_e1(np.array([0.0]))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(DomainError):
-            exp_integral_e1(np.array([complex(math.nan, 1.0)]))
-        with pytest.raises(DomainError):
-            exp_integral_e1(np.array([complex(math.inf, 0.0)]))
-
-    def test_rejects_branch_cut(self):
-        with pytest.raises(DomainError):
-            exp_integral_e1(np.array([-1.0 + 0.0j]))
-        with pytest.raises(DomainError):
-            exp_integral_e1(np.array([complex(-2.0, 1e-12)]))  # hugs the cut
-
-    def test_rejects_overflowing_arguments(self):
-        # E1 grows like exp(-Re c) deep in the left half-plane; doubles
-        # cannot carry the result.
-        with pytest.raises(DomainError):
-            exp_integral_e1(np.array([complex(-700.0, 5.0)]))
-
-    @pytest.mark.parametrize("bad", [0.0, complex(math.nan, 1.0), -1.0 + 0.0j,
-                                     complex(-700.0, 5.0)])
+    @pytest.mark.parametrize("bad", [1.0, 1.0 + 1j, -1j, -1.0 + 0j, 0.0,
+                                     complex(0.0, math.inf),
+                                     complex(math.inf, 0.0),
+                                     complex(math.nan, 1.0), -700.0 + 5j])
     def test_one_bad_argument_fails_the_array_call(self, bad):
-        with pytest.raises(DomainError):
-            exp_integral_e1(np.array([1j, bad, 2.0 + 1j]))
-
-    def test_real_axis_decay(self):
-        # E1 is positive and strictly decreasing on the positive real axis.
-        values = [exp_integral_e1(np.array([x]))[0].real
-                  for x in (0.5, 1.0, 2.0, 5.0, 10.0)]
-        assert all(v > 0 for v in values)
-        assert all(a > b for a, b in zip(values, values[1:]))
+        # one guard for the whole array: the real axis, the rest of the
+        # plane, the origin and non-finite values raise, alone or between
+        # two good arguments
+        for c in ([bad], [1j, bad, 2j]):
+            with pytest.raises(DomainError):
+                exp_integral_e1(np.array(c))
 
 
 class TestAdaptiveQuad:
