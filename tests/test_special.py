@@ -126,6 +126,32 @@ class TestExpIntegral:
                                    * mpmath.expj(x))
             assert abs(value - expected) <= 3.5e-16 * abs(expected), x
 
+    def test_rejects_zero(self):
+        with pytest.raises(DomainError):
+            exp_integral_e1(np.array([0.0]))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(DomainError):
+            exp_integral_e1(np.array([complex(math.nan, 1.0)]))
+        with pytest.raises(DomainError):
+            exp_integral_e1(np.array([complex(math.inf, 0.0)]))
+        with pytest.raises(DomainError):
+            exp_integral_e1(np.array([complex(0.0, math.inf)]))
+
+    def test_rejects_branch_cut(self):
+        # the negative real axis and points hugging it are off the
+        # imaginary axis
+        with pytest.raises(DomainError):
+            exp_integral_e1(np.array([-1.0 + 0.0j]))
+        with pytest.raises(DomainError):
+            exp_integral_e1(np.array([complex(-2.0, 1e-12)]))
+
+    def test_rejects_overflowing_arguments(self):
+        # E1 grows like exp(-Re c) deep in the left half-plane; such
+        # arguments are off the imaginary axis and raise before any work
+        with pytest.raises(DomainError):
+            exp_integral_e1(np.array([complex(-700.0, 5.0)]))
+
     @pytest.mark.parametrize("bad", [1.0, 1.0 + 1j, -1j, -1.0 + 0j, 0.0,
                                      complex(0.0, math.inf),
                                      complex(math.inf, 0.0),
