@@ -127,9 +127,9 @@ def _system(imps: ImpedanceSet, entries: np.ndarray) -> np.ndarray:
 
 def _solve(imps: ImpedanceSet, system: np.ndarray):
     """Checked solve of system x = z_st for a _system array, which stays
-    intact (the optimizer keeps and moves it). Returns (A^-1, x, h,
-    cond, |A^-1|_1) with cond = |A|_1 |A^-1|_1; SingularSystem as
-    described in end_to_end.
+    intact (the optimizer keeps and moves it). Returns the optimizer's
+    state (A^-1, x, y, h, |A^-1|_1), y = A^-1 z_rs, and cond =
+    |A|_1 |A^-1|_1; SingularSystem as described in end_to_end.
     """
     try:
         inv = lu_factor(system)
@@ -159,12 +159,13 @@ def _solve(imps: ImpedanceSet, system: np.ndarray):
                 f"solve residual {residual:.3e} stayed above "
                 f"{_RESIDUAL_REL_MAX:.1e} * |rhs| = {bound:.3e}"
             )
-    return inv, x, imps.z_rt - complex(np.dot(imps.z_rs, x)), cond, inv_norm
+    h = imps.z_rt - complex(np.dot(imps.z_rs, x))
+    return (inv, x, _matvec(inv, imps.z_rs), h, inv_norm), cond
 
 
 def _channel(imps: ImpedanceSet, solved) -> ChannelResult:
     """ChannelResult of a _solve result; DomainError for an undefined gain."""
-    _, _, h, cond, _ = solved
+    (_, _, _, h, _), cond = solved
     if imps.z_rt == 0:
         raise DomainError("gain is undefined for a vanishing direct link")
     if h == 0:
@@ -217,7 +218,7 @@ def _coordinate_step(state, idx: int, current: float, lo: float,
     """Reactance in [lo, hi] of element idx that maximizes |h|, the
     others held fixed (current, the present reactance, when nothing
     beats it). state is the present (A^-1, x, y, h, |A^-1|_1), see
-    _inverse.
+    _solve.
 
     With A = Z_ss + diag(entries), x = A^-1 z_st, y = A^-1 z_rs and
     g = (A^-1)_ii, a reactance change t of element i is the rank-1
@@ -263,12 +264,6 @@ def _norms(imps: ImpedanceSet, entries: np.ndarray, lo: float, hi: float):
     return off, a_bound * _BOUND_ROUNDING, _norm2(imps.z_st)
 
 
-def _inverse(imps: ImpedanceSet, solved):
-    """(A^-1, x, y, h, |A^-1|_1) of a _solve result, y = A^-1 z_rs."""
-    inv, x, h, _, inv_norm = solved
-    return inv, x, _matvec(inv, imps.z_rs), h, inv_norm
-
-
 def _updated(inv: np.ndarray, coef: complex, col: np.ndarray) -> np.ndarray:
     """inv - coef col col^T in one new array: the outer product is
     written and then overwritten by the difference, one N^2 allocation
@@ -293,7 +288,7 @@ def _rank1(imps: ImpedanceSet, norms, system: np.ndarray, state, idx: int,
     B the present inverse, as |c|_1 >= |c|_inf; only where that bound
     exceeds the cap are the exact norms taken, of the written update.
     A pass of the bound is a pass of the exact gate, so every decision
-    is the exact one. The state carries the bound (exact after _inverse)
+    is the exact one. The state carries the bound (exact after _solve)
     as its |B|_1. Finiteness follows from h, that bound and the norms
     of x, y and c, which with |A|_1 also tell when the update and its
     residual need np.errstate. The update writes a new array; state is
@@ -390,7 +385,7 @@ def optimize_tuning(
             f"state is unsolvable ({exc})"
         )
     _channel(imps, solved)
-    state, trace = _inverse(imps, solved), [abs(solved[2])]
+    state, trace = solved[0], [abs(solved[0][3])]
     norms = _norms(imps, init.entries, lo, hi)
     n, diag = len(entries), imps.z_ss.diagonal().tolist()
     stop_reason = "budget"
@@ -413,7 +408,7 @@ def optimize_tuning(
                     proposal = None if checked else _rank1(
                         imps, norms, system, state, idx, target - current.imag)
                     if proposal is None:
-                        proposal = _inverse(imps, _solve(imps, system))
+                        proposal = _solve(imps, system)[0]
                 except SingularSystem:
                     proposal = None
                 if proposal is not None and abs(proposal[3]) > abs(state[3]):
@@ -424,7 +419,7 @@ def optimize_tuning(
             if checked or state is start_state:
                 break
             with suppress(SingularSystem):  # one checked solve per sweep
-                refreshed = _inverse(imps, _solve(imps, system))
+                refreshed = _solve(imps, system)[0]
                 if abs(refreshed[3]) > trace[-1]:
                     state = refreshed
                     break

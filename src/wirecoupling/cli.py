@@ -47,8 +47,11 @@ SWEEP_BATCH_PAIRS = 65536
 
 
 def _write_text(path: Path, text: str):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _write_json(path: Path, payload: dict):
@@ -70,13 +73,12 @@ def _write_complex_csv(path: Path, values: np.ndarray):
 
 def _out_dir(cfg: SceneConfig, args) -> Path:
     # Flag beats config; config beats the working directory.
-    if args.out is not None:
-        directory = Path(args.out)
-    elif cfg.output_dir is not None:
-        directory = Path(cfg.output_dir)
-    else:
-        directory = Path(".")
-    directory.mkdir(parents=True, exist_ok=True)
+    directory = Path(args.out if args.out is not None else cfg.output_dir or ".")
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {directory}: "
+                          f"{exc.strerror}") from None
     return directory
 
 

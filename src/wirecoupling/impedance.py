@@ -93,13 +93,13 @@ def _table(identical: bool):
 _TABLES = _table(True), _table(False)
 
 
-def _closed_form(rho, dz, h_p, h_q, k: float) -> np.ndarray:
+def _closed_form(rho, dz, h_p, h_q) -> np.ndarray:
     """Coupling impedances of the pairs of checked wires (_check_lengths)
-    given as the 1-D arrays of pair_geometry; see mutual_impedance for the
-    formula. Each row takes the _table of its kind, identical wires when
-    h_p == h_q: E1 at 10 arguments, or else 18."""
-    if not k > 0:
-        raise DomainError("mutual impedance: k must be positive")
+    given as the 1-D arrays of pair_geometry times the wavenumber, in
+    radians: a coupling depends on its pair only through these electrical
+    lengths. See mutual_impedance for the formula. Each row takes the
+    _table of its kind, identical wires when h_p == h_q: E1 at 10
+    arguments, or else 18."""
     total = np.empty(np.shape(rho), dtype=complex)
     identical = h_p == h_q
     for rows, (c_q, c_p, lo, hi, halves) in zip((identical, ~identical),
@@ -128,17 +128,19 @@ def _closed_form(rho, dz, h_p, h_q, k: float) -> np.ndarray:
         if np.any(degenerate):
             _, g, j = np.argwhere(degenerate)[0]
             i, b = halves[g][0]
+            lower, upper, at = np.array([i * hq[j], (i + 1) * hq[j],
+                                         _XI[b] * hp[j] - d[j]]) / (2 * math.pi)
             raise DegenerateGeometry(
-                f"segment [{i * hq[j]:.6g}, {(i + 1) * hq[j]:.6g}] m passes "
-                f"through its source point at {_XI[b] * hp[j] - d[j]:.6g} m "
-                "on the axis: the kernel integral is singular"
+                f"segment [{lower:.6g}, {upper:.6g}] wavelengths passes "
+                f"through its source point at {at:.6g} wavelengths on the "
+                "axis: the kernel integral is singular"
             )
 
         # R + s*t, with the near-cancelling radical rewritten where s*t < 0.
         # Past the check above, a zero one belongs to on-axis gaps only,
         # which do not use its E1, so it gets the harmless argument 1.
         radical = np.where(behind, r * r / r_plus, r_plus)
-        e1 = exp_integral_e1(1j * (k * np.where(radical > 0.0, radical, 1.0)))
+        e1 = exp_integral_e1(1j * np.where(radical > 0.0, radical, 1.0))
         diff = e1[:, lo] - e1[:, hi]
         if np.any(on_axis):
             diff = np.where(on_axis, np.log(r_plus[lo] / r_plus[hi]), diff)
@@ -146,7 +148,7 @@ def _closed_form(rho, dz, h_p, h_q, k: float) -> np.ndarray:
         # point b weighs -/+ phi*exp(-/+j*k*h_q) * wave[b], phi =
         # exp(j*k*dz), for s = +1, and the conjugate for s = -1; the
         # halves of one gap add their weights.
-        phi, e_q, e_p = np.exp(1j * k * np.stack([d, hq, hp]))
+        phi, e_q, e_p = np.exp(1j * np.stack([d, hq, hp]))
         half = -phi * e_q.conj(), phi * e_q
         wave = e_p.conj(), e_p, -2.0 * e_p.real
         value = 0.0
@@ -216,7 +218,10 @@ def mutual_impedance(
     DomainError for k < 0 or NaN, and DegenerateGeometry for collinear
     wires whose spans touch or overlap, which Scene already rejects.
     """
-    return complex(_closed_form(*_one_pair(source, observer, same, k), k)[0])
+    pair = _one_pair(source, observer, same, k)
+    if not k > 0:
+        raise DomainError("mutual impedance: k must be positive")
+    return complex(_closed_form(*(k * v for v in pair))[0])
 
 
 def mutual_impedance_oracle(source: Dipole, observer: Dipole, k: float,
@@ -313,11 +318,12 @@ class ImpedanceSet:
         return self.z_rs.shape[0]
 
 
-def _keyed_closed_form(table: np.ndarray, k: float) -> np.ndarray:
-    """Kernel values of the pair_geometry rows of table, shape (M, 4), at
-    wavenumber k, computed in slices of PAIR_CHUNK rows. Unless too few
-    rows repeat their rho to pay for it, each distinct row, compared bit
-    for bit, is evaluated once, the distinct rows in any order."""
+def _keyed_closed_form(table: np.ndarray) -> np.ndarray:
+    """Kernel values of the rows of table, shape (M, 4), each a
+    pair_geometry row times its wavenumber, computed in slices of
+    PAIR_CHUNK rows. Unless too few rows repeat their rho to pay for it,
+    each distinct row, compared bit for bit, is evaluated once, the
+    distinct rows in any order."""
     # Keys save at most the rows whose rho repeats: under a quarter, the
     # key sort would cost about what it saves, so every row is its own key.
     # (np.unique without indices would import numpy.ma on first use.)
@@ -328,7 +334,7 @@ def _keyed_closed_form(table: np.ndarray, k: float) -> np.ndarray:
         _, first, inverse = np.unique(keys.ravel(), return_index=True,
                                       return_inverse=True)
         table = table[first]
-    return np.concatenate([_closed_form(*table[lo:lo + PAIR_CHUNK].T.copy(), k)
+    return np.concatenate([_closed_form(*table[lo:lo + PAIR_CHUNK].T.copy())
                            for lo in range(0, len(table), PAIR_CHUNK)])[inverse]
 
 
@@ -341,40 +347,35 @@ def assemble_impedances(*scenes: Scene) -> list[ImpedanceSet]:
     role (transmitter, receiver, surface[i]). z_rt is one mutual_impedance
     call per distinct (transmitter, receiver, wavenumber), Dipoles
     compared by value, so the scenes of a spacing or n_elements sweep
-    share one call. The other 2N + N(N+1)/2 pairs of the scenes that
-    share a wavenumber go through _keyed_closed_form together, so each
+    share one call. The other 2N + N(N+1)/2 pairs of every scene, scaled
+    by its wavenumber to electrical lengths, go through one
+    _keyed_closed_form pass together, whatever their frequencies, so each
     distinct pair is evaluated once. The upper triangle of z_ss is
     mirrored; reciprocity of the underlying formula is covered by tests.
     """
+    if not scenes:
+        return []
     tables = []
     for scene in scenes:
-        n = scene.n_elements
+        n, k = scene.n_elements, scene.wavenumber
         wires = (scene.transmitter, scene.receiver) + scene.surface
-        _check_lengths(wires, scene.wavenumber, wire_name)
+        _check_lengths(wires, k, wire_name)
         element = np.arange(2, n + 2)
         q, p = np.triu_indices(n)  # z_ss[q, p] couples source p to observer q
         src = np.concatenate([np.zeros(n, int), element, p + 2])
         obs = np.concatenate([element, np.ones(n, int), q + 2])
-        tables.append(np.column_stack(pair_geometry(wires, src, obs)))
-    z_rt = {}
-    for scene in scenes:
-        link = (scene.transmitter, scene.receiver, scene.wavenumber)
-        if link not in z_rt:
-            z_rt[link] = mutual_impedance(*link)
-    values = {}
-    for k in dict.fromkeys(scene.wavenumber for scene in scenes):
-        group = [i for i, scene in enumerate(scenes) if scene.wavenumber == k]
-        ends = np.cumsum([len(tables[i]) for i in group])[:-1]
-        flat = _keyed_closed_form(np.concatenate([tables[i] for i in group]), k)
-        values.update(zip(group, np.split(flat, ends)))
+        tables.append(k * np.column_stack(pair_geometry(wires, src, obs)))
+    links = [(s.transmitter, s.receiver, s.wavenumber) for s in scenes]
+    z_rt = {link: mutual_impedance(*link) for link in dict.fromkeys(links)}
+    ends = np.cumsum([len(table) for table in tables])[:-1]
+    values = np.split(_keyed_closed_form(np.concatenate(tables)), ends)
 
     sets = []
-    for i, scene in enumerate(scenes):
-        n, part = scene.n_elements, values[i]
-        direct = z_rt[scene.transmitter, scene.receiver, scene.wavenumber]
+    for scene, link, part in zip(scenes, links, values):
+        n = scene.n_elements
         q, p = np.triu_indices(n)
         z_ss = np.empty((n, n), dtype=complex)
         z_ss[q, p] = z_ss[p, q] = part[2 * n:]
-        sets.append(ImpedanceSet(z_rt=direct, z_rs=part[n:2 * n],
+        sets.append(ImpedanceSet(z_rt=z_rt[link], z_rs=part[n:2 * n],
                                  z_st=part[:n], z_ss=z_ss))
     return sets

@@ -534,6 +534,41 @@ class TestValidateCommand:
             assert exc.value.code == 2
 
 
+class TestOutputPaths:
+    # each command with its arguments and its first output file
+    COMMANDS = {
+        "impedance": ([], "z_ss.csv"),
+        "channel": ([], "channel.json"),
+        "sweep": (["--param", "spacing", "--from", "0.125", "--to", "0.25",
+                   "--points", "2"], "sweep.csv"),
+        "validate": (["--samples", "1"], "validate.json"),
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_output_directory_below_a_file_exits_1(self, tmp_path, capsys,
+                                                   command):
+        cfg_path = write_config(tmp_path, grid_config(rows=2, cols=2))
+        out = Path(cfg_path) / "sub"
+        argv = [command, cfg_path, *self.COMMANDS[command][0], "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: cannot make output directory {out}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_output_name_taken_by_a_directory_exits_1(self, tmp_path, capsys,
+                                                      command):
+        cfg_path = write_config(tmp_path, grid_config(rows=2, cols=2))
+        extra, name = self.COMMANDS[command]
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        assert main([command, cfg_path, *extra, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {out / name}: ")
+        assert err.count("\n") == 1
+
+
 class TestImports:
     def test_cli_requests_load_no_scipy(self, tmp_path):
         # Each CLI request is a fresh interpreter, so what it imports is
