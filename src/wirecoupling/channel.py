@@ -10,14 +10,18 @@ computed from one inverse of the system, which also gives its exact
 coordinate-ascent optimizer adjusts per-element reactances to maximize
 |h|. Changing one load is a rank-1 update of the system, so each step
 moves a reactance straight to its exact maximizer over the bounds (a
-closed form from Sherman-Morrison) and updates the optimizer's inverse
-in O(N^2), under the same gates as the solve; one checked inversion per
-sweep bounds the drift. A step decides its gates from O(N) vector
-products and scalars: its residual is one product with the system, which
-the optimizer keeps and moves one diagonal entry at a time, and its
-condition number is checked on an O(N) upper bound, on the exact norms
-only where that bound exceeds the cap. All of it is numpy (see _matvec
-for where a matrix-vector product leaves BLAS for einsum).
+closed form from Sherman-Morrison). The optimizer keeps one array
+[A^-1 | x | y], x and y the solutions for the transmitter and receiver
+couplings, and a step moves all three by one O(N^2) outer product, under
+the same gates as the solve; one checked inversion per sweep bounds the
+drift. A step decides its gates from O(N) products and scalars: its
+residual is one product with the system, which the optimizer keeps and
+moves one diagonal entry at a time, and its condition number is checked
+on an O(N) upper bound, on the exact norms only where that bound exceeds
+the cap. The update runs with floating-point warnings off; one that
+overflows fails the finiteness of h or y, the residual gate or the cap.
+All of it is numpy (see _matvec for where a matrix-vector product leaves
+BLAS for einsum).
 """
 
 from __future__ import annotations
@@ -40,9 +44,6 @@ _RESIDUAL_REL_MAX = 1e-10
 # |A^-1|_1 or |A|_1 above them. The bounds only decide when the exact
 # norms are needed, so the margin changes no decision.
 _BOUND_ROUNDING = 1.0 + 1e-9
-# Neither _rank1's x - s c nor its residual A (x - s c) - z_st can
-# overflow while the O(N) bound |A|_1 (|x|_2 + |s| |c|_1) stays below this.
-_NO_OVERFLOW = 1e300
 
 # The system's inverse, by LU with partial pivoting (LAPACK's zgesv
 # against the identity). Every inversion goes through this name.
@@ -128,8 +129,9 @@ def _system(imps: ImpedanceSet, entries: np.ndarray) -> np.ndarray:
 def _solve(imps: ImpedanceSet, system: np.ndarray):
     """Checked solve of system x = z_st for a _system array, which stays
     intact (the optimizer keeps and moves it). Returns the optimizer's
-    state (A^-1, x, y, h, |A^-1|_1), y = A^-1 z_rs, and cond =
-    |A|_1 |A^-1|_1; SingularSystem as described in end_to_end.
+    state (w, h, |A^-1|_1), w = [A^-1 | x | y] one N x (N + 2) array with
+    y = A^-1 z_rs, and cond = |A|_1 |A^-1|_1; SingularSystem as described
+    in end_to_end.
     """
     try:
         inv = lu_factor(system)
@@ -160,12 +162,15 @@ def _solve(imps: ImpedanceSet, system: np.ndarray):
                 f"{_RESIDUAL_REL_MAX:.1e} * |rhs| = {bound:.3e}"
             )
     h = imps.z_rt - complex(np.dot(imps.z_rs, x))
-    return (inv, x, _matvec(inv, imps.z_rs), h, inv_norm), cond
+    n = inv.shape[0]
+    w = np.empty((n, n + 2), dtype=complex)
+    w[:, :n], w[:, n], w[:, n + 1] = inv, x, _matvec(inv, imps.z_rs)
+    return (w, h, inv_norm), cond
 
 
 def _channel(imps: ImpedanceSet, solved) -> ChannelResult:
     """ChannelResult of a _solve result; DomainError for an undefined gain."""
-    (_, _, _, h, _), cond = solved
+    (_, h, _), cond = solved
     if imps.z_rt == 0:
         raise DomainError("gain is undefined for a vanishing direct link")
     if h == 0:
@@ -217,8 +222,7 @@ def _coordinate_step(state, idx: int, current: float, lo: float,
                      hi: float) -> float:
     """Reactance in [lo, hi] of element idx that maximizes |h|, the
     others held fixed (current, the present reactance, when nothing
-    beats it). state is the present (A^-1, x, y, h, |A^-1|_1), see
-    _solve.
+    beats it). state is the present (w, h, |A^-1|_1), see _solve.
 
     With A = Z_ss + diag(entries), x = A^-1 z_st, y = A^-1 z_rs and
     g = (A^-1)_ii, a reactance change t of element i is the rank-1
@@ -231,9 +235,10 @@ def _coordinate_step(state, idx: int, current: float, lo: float,
     are the real roots of one quadratic. The best of those inside the
     bounds, the two bounds and t = 0 is the exact maximizer.
     """
-    inv, x, y, h, _ = state
-    g = inv.item(idx, idx)
-    q = h * g + x.item(idx) * y.item(idx)
+    w, h, _ = state
+    n = w.shape[0]
+    g = w.item(idx, idx)
+    q = h * g + w.item(idx, n) * w.item(idx, n + 1)
     # |h(t)|^2 = (a0 + a1 t + a2 t^2) / (b0 + b1 t + b2 t^2)
     a0, a1, a2 = abs(h) ** 2, 2.0 * (h * q.conjugate()).imag, abs(q) ** 2
     b0, b1, b2 = 1.0, -2.0 * g.imag, abs(g) ** 2
@@ -264,21 +269,13 @@ def _norms(imps: ImpedanceSet, entries: np.ndarray, lo: float, hi: float):
     return off, a_bound * _BOUND_ROUNDING, _norm2(imps.z_st)
 
 
-def _updated(inv: np.ndarray, coef: complex, col: np.ndarray) -> np.ndarray:
-    """inv - coef col col^T in one new array: the outer product is
-    written and then overwritten by the difference, one N^2 allocation
-    where a plain expression makes two (a fifth of the time at N = 256)."""
-    out = (coef * col)[:, None] * col
-    return np.subtract(inv, out, out=out)
-
-
 def _rank1(imps: ImpedanceSet, norms, system: np.ndarray, state, idx: int,
            t: float):
     """state after element idx, already moved in system (A = Z_ss +
-    diag(entries)), changed by j t: A^-1 -= coef c c^T with
-    c = A^-1 e_idx (Sherman-Morrison), read as row idx of the inverse,
-    which is contiguous and, A being symmetric, the same vector. None
-    when the update is not finite or fails _solve's residual gate;
+    diag(entries)), changed by j t: w - c (coef w[idx]) (Sherman-Morrison
+    on all of [A^-1 | x | y]) with c = A^-1 e_idx, read as row idx of the
+    inverse, which is contiguous and, A being symmetric, the same vector.
+    None when the update is not finite or fails _solve's residual gate;
     SingularSystem when it fails _solve's condition cap, on the same
     exact |A|_1 |A^-1|_1, which a checked solve of the moved system
     would refuse as well. norms is the run's _norms.
@@ -289,47 +286,40 @@ def _rank1(imps: ImpedanceSet, norms, system: np.ndarray, state, idx: int,
     exceeds the cap are the exact norms taken, of the written update.
     A pass of the bound is a pass of the exact gate, so every decision
     is the exact one. The state carries the bound (exact after _solve)
-    as its |B|_1. Finiteness follows from h, that bound and the norms
-    of x, y and c, which with |A|_1 also tell when the update and its
-    residual need np.errstate. The update writes a new array; state is
-    never modified.
+    as its |B|_1. The update runs with warnings off: an overflow in x
+    fails the residual gate, in y its finiteness check, in the inverse
+    the cap. The update writes a new array; state is never modified.
     """
-    inv, x, y, h, inv_norm = state
+    w, h, inv_norm = state
     off, a_bound, z_st_norm = norms
-    den = 1.0 + 1j * t * inv.item(idx, idx)
+    n, row = w.shape[0], w[idx]
+    den = 1.0 + 1j * t * row.item(idx)
     if den == 0:  # det(A') = det(A) * den: the moved system is singular
         return None
-    coef, col = 1j * t / den, inv[idx]
-    sx, sy = coef * x.item(idx), coef * y.item(idx)
-    h = h + sx * y.item(idx)
+    coef, col = 1j * t / den, row[:n]
+    h = h + coef * row.item(n) * row.item(n + 1)
     col_sum = float(np.add.reduce(np.abs(col)))  # |c|_1 >= |c|_2 >= |c|_inf
-    if max(a_bound, 1.0) * max(_norm2(x) + abs(sx) * col_sum,
-                               _norm2(y) + abs(sy) * col_sum) < _NO_OVERFLOW:
-        x, y = x - sx * col, y - sy * col
-        residual = _norm2(_matvec(system, x) - imps.z_st)
-    else:
-        with np.errstate(all="ignore"):  # a non-finite update fails below
-            x, y = x - sx * col, y - sy * col
-            residual = _norm2(_matvec(system, x) - imps.z_st)
-        if not math.isfinite(_norm2(y)):
+    with np.errstate(all="ignore"):  # a non-finite update fails below
+        # one N x (N + 2) allocation: the outer product, then overwritten
+        # by the difference (a plain w - outer makes two)
+        out = np.multiply.outer(col, coef * row)
+        w = np.subtract(w, out, out=out)
+        residual = _norm2(_matvec(system, w[:, n]) - imps.z_st)
+        if not (math.isfinite(abs(h)) and math.isfinite(_norm2(w[:, n + 1]))
+                and residual <= _RESIDUAL_REL_MAX * z_st_norm):
             return None
-    if not (math.isfinite(abs(h))
-            and residual <= _RESIDUAL_REL_MAX * z_st_norm):
-        return None
-    inv_norm = (inv_norm + abs(coef) * col_sum * col_sum) * _BOUND_ROUNDING
-    cond = a_bound * inv_norm
-    if math.isfinite(cond) and cond <= CONDITION_CAP:
-        return _updated(inv, coef, col), x, y, h, inv_norm
-    with np.errstate(all="ignore"):
-        inv = _updated(inv, coef, col)
-        inv_norm = _norm1(inv)
+        inv_norm = (inv_norm + abs(coef) * col_sum * col_sum) * _BOUND_ROUNDING
+        cond = a_bound * inv_norm
+        if math.isfinite(cond) and cond <= CONDITION_CAP:
+            return w, h, inv_norm
+        inv_norm = _norm1(w[:, :n])
     cond = (off + np.abs(system.diagonal())).max() * inv_norm
     if not cond <= CONDITION_CAP:
         raise SingularSystem(
             f"updated system condition number {cond:.3e} exceeds the "
             f"cap {CONDITION_CAP:.3e}"
         )
-    return inv, x, y, h, inv_norm
+    return w, h, inv_norm
 
 
 def optimize_tuning(
@@ -385,7 +375,7 @@ def optimize_tuning(
             f"state is unsolvable ({exc})"
         )
     _channel(imps, solved)
-    state, trace = solved[0], [abs(solved[0][3])]
+    state, trace = solved[0], [abs(solved[0][1])]
     norms = _norms(imps, init.entries, lo, hi)
     n, diag = len(entries), imps.z_ss.diagonal().tolist()
     stop_reason = "budget"
@@ -411,7 +401,7 @@ def optimize_tuning(
                         proposal = _solve(imps, system)[0]
                 except SingularSystem:
                     proposal = None
-                if proposal is not None and abs(proposal[3]) > abs(state[3]):
+                if proposal is not None and abs(proposal[1]) > abs(state[1]):
                     state = proposal
                 else:
                     entries[idx] = current
@@ -420,10 +410,10 @@ def optimize_tuning(
                 break
             with suppress(SingularSystem):  # one checked solve per sweep
                 refreshed = _solve(imps, system)[0]
-                if abs(refreshed[3]) > trace[-1]:
+                if abs(refreshed[1]) > trace[-1]:
                     state = refreshed
                     break
-        trace.append(abs(state[3]))
+        trace.append(abs(state[1]))
         if state is start_state:  # the sweep accepted no move
             stop_reason = "converged"
             break

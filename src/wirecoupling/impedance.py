@@ -161,8 +161,11 @@ def _closed_form(rho, dz, h_p, h_q) -> np.ndarray:
 
 def _one_pair(source: Dipole, observer: Dipole, same: bool, k: float):
     """pair_geometry of one pair, after _check_lengths on its wires named
-    source and observer; same observes source on its own surface."""
+    source and observer and a DomainError for k < 0 or NaN; same observes
+    source on its own surface."""
     _check_lengths((source, observer), k, ("source", "observer").__getitem__)
+    if not k > 0:
+        raise DomainError("mutual impedance: k must be positive")
     wires = (source,) if same else (source, observer)
     return pair_geometry(wires, [0], [len(wires) - 1])
 
@@ -219,8 +222,6 @@ def mutual_impedance(
     wires whose spans touch or overlap, which Scene already rejects.
     """
     pair = _one_pair(source, observer, same, k)
-    if not k > 0:
-        raise DomainError("mutual impedance: k must be positive")
     return complex(_closed_form(*(k * v for v in pair))[0])
 
 
@@ -240,9 +241,10 @@ def mutual_impedance_oracle(source: Dipole, observer: Dipole, k: float,
     Independent of the closed form, it is its oracle; no production path
     calls it.
 
-    Raises ResonantLength for guarded lengths, DegenerateGeometry when a
-    half taken in z holds a source point (collinear wires that touch or
-    overlap), and ConvergenceError if a half does not converge.
+    Raises ResonantLength for guarded lengths (k = 0 too), DomainError
+    for k < 0 or NaN, DegenerateGeometry when a half taken in z holds a
+    source point (collinear wires that touch or overlap), and
+    ConvergenceError if a half does not converge.
     """
     rho, dz, h_p, h_q = (float(v[0])
                          for v in _one_pair(source, observer, same, k))

@@ -273,6 +273,19 @@ def run_norms(imps: ImpedanceSet, entries: np.ndarray):
     return wirecoupling.channel._norms(imps, entries, *DEFAULT_REACTANCE_BOUNDS)
 
 
+def parts(state):
+    # (A^-1, x, y, h, |A^-1|_1) of an optimizer state (w, h, |A^-1|_1),
+    # w = [A^-1 | x | y]; the arrays are views of w
+    w, h, inv_norm = state
+    n = w.shape[0]
+    return w[:, :n], w[:, n], w[:, n + 1], h, inv_norm
+
+
+def state_of(inv, x, y, h, inv_norm):
+    # the optimizer state of its parts, in a new w
+    return np.column_stack([inv, x, y]), h, inv_norm
+
+
 class TestOptimizer:
     @pytest.mark.parametrize("seed", range(6))
     def test_exact_step_matches_dense_scan(self, seed):
@@ -471,10 +484,11 @@ class TestOptimizer:
             imps, channel._system(imps, entries))[0]
         entries[5] = 150j
         norms = run_norms(imps, entries)
-        moved = channel._rank1(imps, norms, imps.z_ss + np.diag(entries),
-                               state, 5, 150.0)
-        fresh = channel._solve(
-            imps, channel._system(imps, entries))[0]
+        moved = parts(channel._rank1(imps, norms,
+                                     imps.z_ss + np.diag(entries),
+                                     state, 5, 150.0))
+        fresh = parts(channel._solve(
+            imps, channel._system(imps, entries))[0])
         for got, want in zip(moved[:4], fresh[:4]):  # (A^-1, x, y, h)
             assert np.allclose(got, want, rtol=1e-10, atol=0.0)
         # the last entry is the O(N) bound on |A^-1|_1, exact after _solve
@@ -521,16 +535,18 @@ class TestOptimizer:
                 moved = channel._rank1(imps, norms, system, state, idx, t)
                 if moved is None:  # onto a pole or past the residual gate
                     break
-                exact = np.linalg.norm(moved[0], 1)
-                assert moved[4] >= exact
-                if moved[4] > exact:
+                inv, *_, bound = parts(moved)
+                exact = np.linalg.norm(inv, 1)
+                assert bound >= exact
+                if bound > exact:
                     a_norm = np.linalg.norm(system, 1)
                     patch.setattr(channel, "CONDITION_CAP",
-                                  a_norm * (exact + moved[4]) / 2.0)
+                                  a_norm * (exact + bound) / 2.0)
                     capped = channel._rank1(imps, norms, system, state, idx,
                                             t)
                     assert capped is not None
-                    assert capped[4] == np.linalg.norm(capped[0], 1)
+                    inv, *_, bound = parts(capped)
+                    assert bound == np.linalg.norm(inv, 1)
                 state = moved
 
     @settings(max_examples=60, deadline=None)
@@ -580,7 +596,7 @@ class TestOptimizer:
         # has B's phase in column 0, so |B|_1 + |coef| |c|_1 |c|_inf is
         # |B'|_1 exactly up to rounding. Decoupling element 0 (c = j s e_0)
         # and shrinking B's other columns below s makes the bound _rank1
-        # carries, with dzasum(c) dznrm2(c) for |c|_1 |c|_inf, as tight.
+        # carries, with |c|_1^2 for |c|_1 |c|_inf, as tight.
         # The rounding margin must keep it on top.
         channel = wirecoupling.channel
         monkeypatch.setattr(channel, "CONDITION_CAP", math.inf)
@@ -604,11 +620,11 @@ class TestOptimizer:
             entries = np.full(n, -shift + 0j)
             entries[0] += 1j * t
             x = inv @ z_st
-            state = (np.asfortranarray(inv), x, x, 1.0 + 0j,
-                     np.linalg.norm(inv, 1))
+            state = state_of(inv, x, x, 1.0 + 0j, np.linalg.norm(inv, 1))
             moved = channel._rank1(imps, run_norms(imps, entries),
                                    imps.z_ss + np.diag(entries), state, 0, t)
             assert moved is not None
+            moved = parts(moved)
             assert moved[4] >= np.linalg.norm(moved[0], 1)
             if decoupled:  # the bound is within its rounding margin
                 assert moved[4] <= np.linalg.norm(moved[0], 1) * (1 + 1e-8)
@@ -625,7 +641,7 @@ class TestOptimizer:
         seen, refused, calls = [], [], []
 
         def recording(imps, norms, system, state, *args):
-            seen.append((state, [a.tobytes() for a in state[:3]]))
+            seen.append((state, state[0].tobytes()))
             refused.append(True)
             out = rank1(imps, norms, system, state, *args)
             refused[-1] = out is None
@@ -649,8 +665,8 @@ class TestOptimizer:
         monkeypatch.setattr(channel, "_solve", failing_once)
         optimize_tuning(imps, init, budget=3)
         assert len(calls) == 21  # the redo ran
-        for state, arrays in seen:
-            assert [a.tobytes() for a in state[:3]] == arrays
+        for state, w in seen:
+            assert state[0].tobytes() == w
 
     def test_gated_move_that_does_not_raise_h_gets_no_checked_solve(
             self, monkeypatch):
@@ -667,7 +683,7 @@ class TestOptimizer:
         def worst_after_the_first(state, idx, current, lo, hi):
             if idx == 0 and state[0].shape[0] > 1:
                 return step(state, idx, current, lo, hi)
-            inv, x, y, h, _ = state
+            inv, x, y, h, _ = parts(state)
             g = inv[idx, idx]
             q = h * g + x[idx] * y[idx]
             grid = np.linspace(lo, hi, 401)
@@ -679,7 +695,7 @@ class TestOptimizer:
         def recording(imps, norms, system, state, *args):
             out = rank1(imps, norms, system, state, *args)
             assert out is not None  # the move passes the gates
-            proposals.append(abs(out[3]) > abs(state[3]))
+            proposals.append(abs(out[1]) > abs(state[1]))
             return out
 
         def counting_solve(*args):
@@ -716,7 +732,7 @@ class TestOptimizer:
         def checking(imps, norms, system, state, idx, t, *args):
             base = system.copy()
             base[idx, idx] -= 1j * t
-            residual = np.linalg.norm(base @ state[1] - imps.z_st)
+            residual = np.linalg.norm(base @ parts(state)[1] - imps.z_st)
             solved.append(residual <= 1e-8 * np.linalg.norm(imps.z_st))
             return rank1(imps, norms, system, state, idx, t, *args)
 
@@ -734,8 +750,8 @@ class TestOptimizer:
         channel = wirecoupling.channel
         imps = grid_imps()
         entries = np.zeros(16, dtype=complex)
-        inv, *rest = channel._solve(
-            imps, channel._system(imps, entries))[0]
+        inv, *rest = parts(channel._solve(
+            imps, channel._system(imps, entries))[0])
         t = 128.0  # 1j / t and j t (j / t) = -1 are exact
         inv = inv.copy()
         inv[5, 5] = 1j / t
@@ -743,8 +759,8 @@ class TestOptimizer:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert channel._rank1(imps, run_norms(imps, entries),
-                                  imps.z_ss + np.diag(entries), (inv, *rest),
-                                  5, t) is None
+                                  imps.z_ss + np.diag(entries),
+                                  state_of(inv, *rest), 5, t) is None
 
     def test_overflowing_step_is_refused_without_a_warning(self):
         # x near the largest double: the update x - s c overflows, which
@@ -752,8 +768,8 @@ class TestOptimizer:
         channel = wirecoupling.channel
         imps = grid_imps()
         entries = np.zeros(16, dtype=complex)
-        inv, x, *rest = channel._solve(
-            imps, channel._system(imps, entries))[0]
+        inv, x, *rest = parts(channel._solve(
+            imps, channel._system(imps, entries))[0])
         x = np.finfo(float).max * (1.0 + 1j) * (-1.0) ** np.arange(16)
         x[5] = 1e300
         t = 150.0
@@ -765,7 +781,36 @@ class TestOptimizer:
             warnings.simplefilter("error")
             assert channel._rank1(imps, run_norms(imps, entries),
                                   imps.z_ss + np.diag(entries),
-                                  (inv, x, *rest), 5, t) is None
+                                  state_of(inv, x, *rest), 5, t) is None
+
+    def test_overflowing_inverse_update_is_refused_without_a_warning(self):
+        # Row 5 of B near the largest double with x_5 = y_5 = 0: x and y
+        # stay put and solve the moved system, but the update of B,
+        # coef c c^T, overflows, which numpy warns about. The moved
+        # inverse is not finite, so the condition cap refuses the step,
+        # and nothing warns.
+        channel = wirecoupling.channel
+        imps = grid_imps()
+        entries = np.zeros(16, dtype=complex)
+        inv, x, y, h, inv_norm = parts(channel._solve(
+            imps, channel._system(imps, entries))[0])
+        inv, x, y = inv.copy(), x.copy(), y.copy()
+        others = np.arange(16) != 5
+        inv[5, others] = inv[others, 5] = 1e306 * (1.0 + 1j)
+        x[5] = y[5] = 0.0
+        t = 150.0
+        entries[5] = 1j * t
+        system = imps.z_ss + np.diag(entries)
+        imps = ImpedanceSet(z_rt=imps.z_rt, z_rs=imps.z_rs, z_st=system @ x,
+                            z_ss=imps.z_ss)
+        coef = 1j * t / (1.0 + 1j * t * inv[5, 5])
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            inv - np.multiply.outer(inv[5], coef * inv[5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystem, match="condition"):
+                channel._rank1(imps, run_norms(imps, entries), system,
+                               state_of(inv, x, y, h, inv_norm), 5, t)
 
     @pytest.mark.parametrize("corruption", [1e-6, math.nan],
                              ids=["residual", "non-finite"])
@@ -776,17 +821,17 @@ class TestOptimizer:
         channel = wirecoupling.channel
         imps = grid_imps()
         entries = np.zeros(16, dtype=complex)
-        inv, x, *rest = channel._solve(
-            imps, channel._system(imps, entries))[0]
+        inv, x, *rest = parts(channel._solve(
+            imps, channel._system(imps, entries))[0])
         x = x.copy()
         x[5] += corruption
-        state = (inv, x, *rest)
-        arrays = [a.tobytes() for a in state[:3]]
+        state = state_of(inv, x, *rest)
+        w = state[0].tobytes()
         entries[5] = 150.0j
         assert channel._rank1(imps, run_norms(imps, entries),
                               imps.z_ss + np.diag(entries), state,
                               5, 150.0) is None
-        assert [a.tobytes() for a in state[:3]] == arrays
+        assert state[0].tobytes() == w
 
     @pytest.mark.parametrize("side, budget, factorizations, gain_db", [
         (4, 20, 22, 4.328330703679251),

@@ -351,10 +351,15 @@ class TestMutualImpedance:
                     coupling(a, b, K)
 
     def test_bad_wavenumber_raises(self):
+        # k < 0 or NaN is a DomainError for the closed form and its
+        # oracle alike; k = 0 fails the current normalization first.
         p, q = half_wave(), half_wave(x=LAM)
-        for k in (-K, math.nan):
-            with pytest.raises(DomainError):
-                mutual_impedance(p, q, k)
+        for coupling in (mutual_impedance, mutual_impedance_oracle):
+            for k in (-K, math.nan):
+                with pytest.raises(DomainError):
+                    coupling(p, q, k)
+            with pytest.raises(ResonantLength):
+                coupling(p, q, 0.0)
 
     def test_oracle_tolerance_is_honored(self):
         p = half_wave()
