@@ -5,20 +5,21 @@ the tuning matrix). The transmitter-to-receiver transfer impedance is
 
     h = z_rt - z_rs^T (Z_ss + diag(tuning))^(-1) z_st
 
-computed from one inverse of the system, which also gives its exact
-1-norm condition number and the solve's residual gate. A cyclic
+computed by one LU solve of A = Z_ss + diag(tuning) against
+[I | z_st | z_rs], giving w = [A^-1 | x | y]: x and y solve for the
+transmitter and receiver couplings, and A^-1 gives the exact 1-norm
+condition number and the residual's refinement. A cyclic
 coordinate-ascent optimizer adjusts per-element reactances to maximize
 |h|. Changing one load is a rank-1 update of the system, so each step
 moves a reactance straight to its exact maximizer over the bounds (a
-closed form from Sherman-Morrison). The optimizer keeps one array
-[A^-1 | x | y], x and y the solutions for the transmitter and receiver
-couplings, and a step moves all three by one O(N^2) outer product, under
-the same gates as the solve; one checked inversion per sweep bounds the
-drift. A step decides its gates from O(N) products and scalars: its
-residual is one product with the system, which the optimizer keeps and
-moves one diagonal entry at a time, and its condition number is checked
-on an O(N) upper bound, on the exact norms only where that bound exceeds
-the cap. The update runs with floating-point warnings off; one that
+closed form from Sherman-Morrison). The optimizer keeps w as its state,
+and a step moves all of it by one O(N^2) outer product, under the same
+gates as the solve; one checked solve per sweep bounds the drift. A
+step decides its gates from O(N) products and scalars: its residual is
+one product with the system, which the optimizer keeps and moves one
+diagonal entry at a time, and its condition number is checked on an
+O(N) upper bound, on the exact norms only where that bound exceeds the
+cap. The update runs with floating-point warnings off; one that
 overflows fails the finiteness of h or y, the residual gate or the cap.
 All of it is numpy (see _matvec for where a matrix-vector product leaves
 BLAS for einsum).
@@ -45,9 +46,9 @@ _RESIDUAL_REL_MAX = 1e-10
 # norms are needed, so the margin changes no decision.
 _BOUND_ROUNDING = 1.0 + 1e-9
 
-# The system's inverse, by LU with partial pivoting (LAPACK's zgesv
-# against the identity). Every inversion goes through this name.
-lu_factor = np.linalg.inv
+# Solves by LU with partial pivoting, one LAPACK zgesv for all the
+# right-hand sides. Every LAPACK call goes through this name.
+lu_factor = np.linalg.solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,45 +127,48 @@ def _system(imps: ImpedanceSet, entries: np.ndarray) -> np.ndarray:
     return system
 
 
-def _solve(imps: ImpedanceSet, system: np.ndarray):
-    """Checked solve of system x = z_st for a _system array, which stays
-    intact (the optimizer keeps and moves it). Returns the optimizer's
-    state (w, h, |A^-1|_1), w = [A^-1 | x | y] one N x (N + 2) array with
-    y = A^-1 z_rs, and cond = |A|_1 |A^-1|_1; SingularSystem as described
-    in end_to_end.
-    """
-    try:
-        inv = lu_factor(system)
-    except np.linalg.LinAlgError:
-        raise SingularSystem("coupling system is singular") from None
+def _condition(system: np.ndarray, inv: np.ndarray):
+    """(|A^-1|_1, cond), cond = |A|_1 |A^-1|_1 for system A and its inverse
+    inv; SingularSystem when cond is not finite or exceeds CONDITION_CAP."""
     inv_norm = _norm1(inv)
-    if not math.isfinite(inv_norm):
-        raise SingularSystem("coupling system is singular (non-finite inverse)")
     cond = _norm1(system) * inv_norm
-    if cond > CONDITION_CAP:
+    if not (math.isfinite(cond) and cond <= CONDITION_CAP):
         raise SingularSystem(
             f"coupling system condition number {cond:.3e} exceeds the "
             f"cap {CONDITION_CAP:.3e}"
         )
+    return inv_norm, cond
 
-    rhs = imps.z_st
+
+def _solve(imps: ImpedanceSet, system: np.ndarray):
+    """Checked solve of system x = z_st for a _system array, which stays
+    intact (the optimizer keeps and moves it). Returns the optimizer's
+    state (w, h, |A^-1|_1), w = [A^-1 | x | y] one N x (N + 2) array with
+    y = A^-1 z_rs, the one lu_factor solve against [I | z_st | z_rs], and
+    cond = |A|_1 |A^-1|_1; SingularSystem as described in end_to_end.
+    """
+    n, rhs = system.shape[0], imps.z_st
+    b = np.eye(n, n + 2, dtype=complex)
+    b[:, n], b[:, n + 1] = rhs, imps.z_rs
+    try:
+        w = lu_factor(system, b)
+    except np.linalg.LinAlgError:
+        raise SingularSystem("coupling system is singular") from None
+    inv_norm, cond = _condition(system, w[:, :n])
+
     bound = _RESIDUAL_REL_MAX * _norm2(rhs)
-    x = _matvec(inv, rhs)
-    r = _matvec(system, x) - rhs
+    r = _matvec(system, w[:, n]) - rhs
     residual = _norm2(r)
     if not residual <= bound:
         # One round of iterative refinement usually recovers the digits.
-        x = x - _matvec(inv, r)
-        residual = _norm2(_matvec(system, x) - rhs)
+        w[:, n] -= _matvec(w[:, :n], r)
+        residual = _norm2(_matvec(system, w[:, n]) - rhs)
         if not residual <= bound:
             raise SingularSystem(
                 f"solve residual {residual:.3e} stayed above "
                 f"{_RESIDUAL_REL_MAX:.1e} * |rhs| = {bound:.3e}"
             )
-    h = imps.z_rt - complex(np.dot(imps.z_rs, x))
-    n = inv.shape[0]
-    w = np.empty((n, n + 2), dtype=complex)
-    w[:, :n], w[:, n], w[:, n + 1] = inv, x, _matvec(inv, imps.z_rs)
+    h = imps.z_rt - complex(np.dot(imps.z_rs, w[:, n]))
     return (w, h, inv_norm), cond
 
 
@@ -182,13 +186,13 @@ def _channel(imps: ImpedanceSet, solved) -> ChannelResult:
 def end_to_end(imps: ImpedanceSet, tuning: TuningState) -> ChannelResult:
     """Evaluate the transfer impedance for one tuning state.
 
-    Inverts A = Z_ss + diag(tuning) by LU with partial pivoting, takes
-    x = A^-1 z_st, verifies the residual (one round of refinement when
-    it misses), and forms h = z_rt - z_rs . x with a plain (unconjugated)
-    dot product. Deterministic for fixed inputs and BLAS thread count.
+    Solves A = Z_ss + diag(tuning) for A^-1 and x = A^-1 z_st in one LU,
+    verifies the residual (one round of refinement when it misses), and
+    forms h = z_rt - z_rs . x with a plain (unconjugated) dot product.
+    Deterministic for fixed inputs and BLAS thread count.
 
-    Raises SingularSystem when the inversion fails or is not finite, the
-    exact 1-norm condition number exceeds CONDITION_CAP, or the residual
+    Raises SingularSystem when the LU fails, the exact 1-norm condition
+    number is not finite or exceeds CONDITION_CAP, or the residual
     will not shrink below 1e-10 of the right-hand side; DomainError when
     the tuning does not match the surface or the gain is undefined.
     """
@@ -257,16 +261,11 @@ def _coordinate_step(state, idx: int, current: float, lo: float,
 def _norms(imps: ImpedanceSet, entries: np.ndarray, lo: float, hi: float):
     """What _rank1's gates read of the surface, fixed over a run that
     holds the real parts of entries and keeps reactances in [lo, hi]:
-    the off-diagonal column sums of |Z_ss| (with A's diagonal, the exact
-    |A|_1 in one O(N) pass), an upper bound on |A|_1 for the whole run
-    (largest column sum of |Z_ss| + largest |Re entry| + max(|lo|, |hi|))
-    and |z_st|_2."""
-    off = np.abs(imps.z_ss)
-    off.flat[::imps.n_elements + 1] = 0.0
-    off = off.sum(axis=0)
-    a_bound = ((off + np.abs(imps.z_ss.diagonal())).max()
-               + np.abs(entries.real).max() + max(abs(lo), abs(hi)))
-    return off, a_bound * _BOUND_ROUNDING, _norm2(imps.z_st)
+    an upper bound on |A|_1 for the whole run (|Z_ss|_1 + largest
+    |Re entry| + max(|lo|, |hi|)) and |z_st|_2."""
+    a_bound = (_norm1(imps.z_ss) + np.abs(entries.real).max()
+               + max(abs(lo), abs(hi)))
+    return a_bound * _BOUND_ROUNDING, _norm2(imps.z_st)
 
 
 def _rank1(imps: ImpedanceSet, norms, system: np.ndarray, state, idx: int,
@@ -276,9 +275,9 @@ def _rank1(imps: ImpedanceSet, norms, system: np.ndarray, state, idx: int,
     on all of [A^-1 | x | y]) with c = A^-1 e_idx, read as row idx of the
     inverse, which is contiguous and, A being symmetric, the same vector.
     None when the update is not finite or fails _solve's residual gate;
-    SingularSystem when it fails _solve's condition cap, on the same
-    exact |A|_1 |A^-1|_1, which a checked solve of the moved system
-    would refuse as well. norms is the run's _norms.
+    SingularSystem when it fails _solve's condition cap (_condition, on
+    the same exact |A|_1 |A^-1|_1), which a checked solve of the moved
+    system would refuse as well. norms is the run's _norms.
 
     The residual gate is _solve's, one product with system. The cap is
     checked first on the O(N) bound a_bound (|B|_1 + |coef| |c|_1^2),
@@ -291,7 +290,7 @@ def _rank1(imps: ImpedanceSet, norms, system: np.ndarray, state, idx: int,
     the cap. The update writes a new array; state is never modified.
     """
     w, h, inv_norm = state
-    off, a_bound, z_st_norm = norms
+    a_bound, z_st_norm = norms
     n, row = w.shape[0], w[idx]
     den = 1.0 + 1j * t * row.item(idx)
     if den == 0:  # det(A') = det(A) * den: the moved system is singular
@@ -310,15 +309,8 @@ def _rank1(imps: ImpedanceSet, norms, system: np.ndarray, state, idx: int,
             return None
         inv_norm = (inv_norm + abs(coef) * col_sum * col_sum) * _BOUND_ROUNDING
         cond = a_bound * inv_norm
-        if math.isfinite(cond) and cond <= CONDITION_CAP:
-            return w, h, inv_norm
-        inv_norm = _norm1(w[:, :n])
-    cond = (off + np.abs(system.diagonal())).max() * inv_norm
-    if not cond <= CONDITION_CAP:
-        raise SingularSystem(
-            f"updated system condition number {cond:.3e} exceeds the "
-            f"cap {CONDITION_CAP:.3e}"
-        )
+        if not (math.isfinite(cond) and cond <= CONDITION_CAP):
+            inv_norm, _ = _condition(system, w[:, :n])
     return w, h, inv_norm
 
 
@@ -363,7 +355,7 @@ def optimize_tuning(
 
     # One checked solve of the start: its inverse serves the first sweep,
     # and _channel raises the gain's DomainErrors up front. The system is
-    # kept: a move writes its diagonal entry, a solve inverts it. The
+    # kept: a move writes its diagonal entry, a solve reads it whole. The
     # entries are Python complex numbers here: per-element arithmetic on
     # numpy scalars costs several times as much.
     entries, system = init.entries.tolist(), _system(imps, init.entries)

@@ -8,8 +8,8 @@ Four subcommands:
     validate <config>    compare closed-form couplings against quadrature
 
 Matrices land in CSV files with the header row,col,re_ohm,im_ohm; scalar
-results land in JSON. Exit codes: 0 success, 1 configuration problem,
-2 numerical failure.
+results land in JSON. Exit codes: 0 success, 1 configuration problem
+(a usage error included), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -287,8 +287,15 @@ def _cmd_validate(cfg: SceneConfig, args) -> int:
     return 0 if passed else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError (exit 1, one config error line)."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wirecoupling",
         description="Coupling impedances and end-to-end channels of "
                     "thin-wire dipole surfaces.",

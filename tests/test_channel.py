@@ -146,26 +146,29 @@ class TestEndToEnd:
         assert result.condition_estimate > 1e12
 
     @staticmethod
-    def shift_inverse_products(monkeypatch, count):
-        # the first count products with a system's inverse, the solution
-        # and then the refinement's correction, come out off by 1e-6 in
-        # every entry, far above the residual gate; returns the call log
+    def shift_solutions(monkeypatch, corrections):
+        # the x column of every lu_factor solve comes out off by 1e-6 in
+        # every entry, far above the residual gate, and so do the first
+        # corrections products with that solve's A^-1 block (the
+        # refinement's correction); returns the log of those products
         channel = wirecoupling.channel
-        invert, matvec, inverses, calls = channel.lu_factor, channel._matvec, [], []
+        solve, matvec, solved, calls = (channel.lu_factor, channel._matvec,
+                                        [], [])
 
-        def recording(a):
-            inverses.append(invert(a))
-            return inverses[-1]
+        def shifted_solve(a, b):
+            solved.append(solve(a, b))
+            solved[-1][:, a.shape[0]] += 1e-6
+            return solved[-1]
 
         def shifted(a, x):
             out = matvec(a, x)
-            if any(a is inv for inv in inverses):
+            if any(np.shares_memory(a, w) for w in solved):
                 calls.append(1)
-                if len(calls) <= count:
+                if len(calls) <= corrections:
                     out = out + 1e-6
             return out
 
-        monkeypatch.setattr(channel, "lu_factor", recording)
+        monkeypatch.setattr(channel, "lu_factor", shifted_solve)
         monkeypatch.setattr(channel, "_matvec", shifted)
         return calls
 
@@ -173,18 +176,37 @@ class TestEndToEnd:
         imps = grid_imps()
         tuning = TuningState.from_reactances(np.full(16, -100.0))
         expected = end_to_end(imps, tuning)
-        calls = self.shift_inverse_products(monkeypatch, 1)
+        calls = self.shift_solutions(monkeypatch, 0)
         result = end_to_end(imps, tuning)
-        # the solve, one refinement round and y = A^-1 z_rs
-        assert len(calls) == 3
+        # one refinement round
+        assert len(calls) == 1
         assert result.h_e2e == pytest.approx(expected.h_e2e, rel=1e-12, abs=0)
 
     def test_refinement_that_cannot_recover_raises(self, monkeypatch):
         imps = grid_imps()
         tuning = TuningState.from_reactances(np.full(16, -100.0))
-        self.shift_inverse_products(monkeypatch, math.inf)
+        self.shift_solutions(monkeypatch, math.inf)
         with pytest.raises(SingularSystem, match="solve residual"):
             end_to_end(imps, tuning)
+
+    def test_solve_is_one_lu_and_one_product(self, monkeypatch):
+        # A^-1, x and y come from one lu_factor call against
+        # [I | z_st | z_rs]; a solve that needs no refinement makes one
+        # matrix-vector product, its residual's.
+        channel = wirecoupling.channel
+        solve, matvec, calls = channel.lu_factor, channel._matvec, []
+
+        def logged(name, fn):
+            def call(*args):
+                calls.append(name)
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(channel, "lu_factor", logged("lu", solve))
+        monkeypatch.setattr(channel, "_matvec", logged("matvec", matvec))
+        end_to_end(grid_imps(),
+                   TuningState.from_reactances(np.full(16, -100.0)))
+        assert calls == ["lu", "matvec"]
 
     def test_condition_estimate_for_diagonal_system(self):
         imps = ImpedanceSet(
@@ -473,6 +495,36 @@ class TestOptimizer:
                     3.6508340312402643, 3.7501275317144205)
         assert result.trace == pytest.approx(per_step, rel=1e-12)
 
+    @pytest.mark.parametrize("run", ["4x4", "converged", "redo"])
+    def test_run_ends_on_a_checked_solve(self, monkeypatch, run):
+        # A sweep that moved ends on a checked solve of its system (the
+        # refresh, or the redo's last accepted solve), and one that did
+        # not keeps the state of the one before, so the result's channel
+        # is end_to_end's of its tuning bit for bit, and the trace ends on
+        # that |h| exactly. The redo run fails its first refresh.
+        channel = wirecoupling.channel
+        solve, calls = channel._solve, []
+
+        def failing_once(*args):
+            calls.append(1)
+            if len(calls) == 2:  # after the start, the first refresh
+                raise SingularSystem("refresh refused")
+            return solve(*args)
+
+        if run == "converged":
+            imps, budget = single_element_imps(), 20
+        else:
+            imps, budget = grid_imps(), 20 if run == "4x4" else 3
+        if run == "redo":
+            monkeypatch.setattr(channel, "_solve", failing_once)
+        init = TuningState.from_reactances(np.zeros(imps.n_elements))
+        result = optimize_tuning(imps, init, budget=budget)
+        assert result.stop_reason == ("converged" if run == "converged"
+                                      else "budget")
+        assert len(calls) == (21 if run == "redo" else 0)  # the redo ran
+        assert result.channel == end_to_end(imps, result.tuning)
+        assert result.trace[-1] == abs(result.channel.h_e2e)
+
     def test_rank1_update_matches_checked_solve(self, monkeypatch):
         # One reactance move as a rank-1 update of the maintained inverse
         # agrees with a fresh checked solve; a cap below the exact 1-norm
@@ -566,7 +618,7 @@ class TestOptimizer:
         imps = ImpedanceSet(z_rt=40.0, z_st=rng.normal(size=n) + 0j,
                             z_rs=rng.normal(size=n) + 0j, z_ss=z_ss)
         real = rng.uniform(-50.0, 50.0, n)
-        _, a_bound, _ = channel._norms(imps, real + 1j * lo, lo, hi)
+        a_bound, _ = channel._norms(imps, real + 1j * lo, lo, hi)
         for _ in range(20):
             x = np.where(rng.random(n) < 0.3, rng.choice([lo, hi], n),
                          rng.uniform(lo, hi, n))
@@ -588,7 +640,7 @@ class TestOptimizer:
                                 z_rs=np.ones(n) + 0j, z_ss=z_ss)
             hi = rng.uniform(0.0, 3000.0)
             lo = -rng.uniform(0.0, hi)
-            _, a_bound, _ = channel._norms(imps, np.full(n, 1j * lo), lo, hi)
+            a_bound, _ = channel._norms(imps, np.full(n, 1j * lo), lo, hi)
             assert a_bound >= np.linalg.norm(z_ss + 1j * hi * np.eye(n), 1)
 
     def test_rank1_norm_bound_holds_where_it_is_tight(self, monkeypatch):
@@ -872,9 +924,9 @@ class TestOptimizer:
         monkeypatch.setattr(wirecoupling.channel, "CONDITION_CAP", cap)
         calls, factor = [], wirecoupling.channel.lu_factor
 
-        def counting_factor(a):
+        def counting_factor(*args):
             calls.append(1)
-            return factor(a)
+            return factor(*args)
 
         monkeypatch.setattr(wirecoupling.channel, "lu_factor", counting_factor)
         result = optimize_tuning(imps, init)

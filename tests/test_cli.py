@@ -523,15 +523,43 @@ class TestValidateCommand:
         report = json.loads((out / "validate.json").read_text())
         assert report["oracle_rel_tol"] == 1e-7
 
-    def test_oracle_tolerance_belongs_to_validate_only(self, tmp_path):
-        # no other command runs quadrature
+    def test_oracle_tolerance_belongs_to_validate_only(self, tmp_path,
+                                                       capsys):
+        # no other command runs quadrature; the flag is a usage error
         cfg_path = write_config(tmp_path, elements_config(n=1))
         sweep = ["--param", "frequency", "--from", "3e8", "--to", "3e8",
                  "--points", "1"]
         for argv in (["impedance"], ["channel"], ["sweep", *sweep]):
-            with pytest.raises(SystemExit) as exc:
-                main([argv[0], cfg_path, *argv[1:], "--oracle-tol", "1e-7"])
-            assert exc.value.code == 2
+            assert main([argv[0], cfg_path, *argv[1:],
+                         "--oracle-tol", "1e-7"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1
+            assert "--oracle-tol" in err
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv, names", [
+        (["channel"], "required: config"),
+        (["sweep", "c.json", "--param", "spacing", "--from", "1", "--to",
+          "2", "--points", "x"], "--points"),
+        (["bogus", "c.json"], "bogus"),
+        (["impedance", "c.json", "--nope"], "--nope"),
+        ([], "required: command"),
+    ], ids=["missing-argument", "bad-int", "bad-command", "unknown-flag",
+            "no-command"])
+    def test_usage_error_exits_1_with_one_line(self, capsys, argv, names):
+        # a usage error is a configuration problem, as the README says
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert names in err
+
+    @pytest.mark.parametrize("argv", [["-h"], ["sweep", "-h"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: wirecoupling")
 
 
 class TestOutputPaths:
