@@ -14,15 +14,12 @@ results land in JSON. Exit codes: 0 success, 1 configuration problem
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
-# argparse's gettext imports locale on the first parser build; importing
-# it here pays for it at start-up instead of inside the request.
-import locale  # noqa: F401
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -287,61 +284,85 @@ def _cmd_validate(cfg: SceneConfig, args) -> int:
     return 0 if passed else 2
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors raise ConfigError (exit 1, one config error line)."""
+_REQUIRED = object()  # the default of an argument that must be given
+_COMMON = {"config": ("config", str, _REQUIRED, "JSON scene configuration"),
+           "--out": ("out", str, None, "output directory (default: the "
+                     "config's, else the working directory)")}
+# command: (handler, help, {argument: (dest, type or choices, default,
+# help)}), the argument without dashes being the positional one. This
+# table alone drives parsing, the required-argument check and -h.
+COMMANDS = {
+    "impedance": (_cmd_impedance, "write the coupling matrices", _COMMON),
+    "channel": (_cmd_channel, "evaluate or optimize the channel", _COMMON),
+    "sweep": (_cmd_sweep, "evaluate the channel over a range", {
+        **_COMMON,
+        "--param": ("parameter", SWEEP_PARAMETERS, _REQUIRED, "scene "
+                    f"parameter to sweep: {', '.join(SWEEP_PARAMETERS)}"),
+        "--from": ("start", float, _REQUIRED, "first parameter value"),
+        "--to": ("stop", float, _REQUIRED, "last parameter value"),
+        "--points": ("points", int, _REQUIRED,
+                     "number of evenly spaced sweep points")}),
+    "validate": (_cmd_validate, "compare closed-form couplings to "
+                                "quadrature", {
+        **_COMMON,
+        "--oracle-tol": ("oracle_tol", float, 1e-9, "relative tolerance "
+                         "of the quadrature oracle (default 1e-9)"),
+        "--samples": ("samples", int, 50,
+                      "random pairs to compare (default 50)"),
+        "--seed": ("seed", int, 0, "random seed (default 0)")}),
+}
 
-    def error(self, message):
-        raise ConfigError(f"{self.prog}: {message}")
+
+def _help(command):
+    """Print the -h text of a command, or of the program if None; exit 0."""
+    rows = {name: entry[1] for name, entry in COMMANDS.items()}
+    if command:
+        rows = {(f"{name} {dest.upper()}" if name[0] == "-" else name):
+                text + " (required)" * (default is _REQUIRED)
+                for name, (dest, _, default, text)
+                in COMMANDS[command][2].items()}
+    print(f"usage: wirecoupling {command or 'COMMAND'} config [flags]",
+          *(f"  {arg:<25}{text}" for arg, text in rows.items()), sep="\n")
+    raise SystemExit(0)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="wirecoupling",
-        description="Coupling impedances and end-to-end channels of "
-                    "thin-wire dipole surfaces.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("config", help="path to a JSON scene configuration")
-        p.add_argument("--out", default=None,
-                       help="output directory (default: config output "
-                            "section, else the working directory)")
-
-    p_imp = sub.add_parser("impedance", help="write the coupling matrices")
-    common(p_imp)
-    p_imp.set_defaults(handler=_cmd_impedance)
-
-    p_ch = sub.add_parser("channel", help="evaluate or optimize the channel")
-    common(p_ch)
-    p_ch.set_defaults(handler=_cmd_channel)
-
-    p_sw = sub.add_parser("sweep", help="evaluate the channel over a range")
-    common(p_sw)
-    p_sw.add_argument("--param", dest="parameter", required=True,
-                      choices=SWEEP_PARAMETERS,
-                      help="which scene parameter to sweep")
-    p_sw.add_argument("--from", dest="start", type=float, required=True,
-                      help="first parameter value")
-    p_sw.add_argument("--to", dest="stop", type=float, required=True,
-                      help="last parameter value")
-    p_sw.add_argument("--points", type=int, required=True,
-                      help="number of evenly spaced sweep points")
-    p_sw.set_defaults(handler=_cmd_sweep)
-
-    p_val = sub.add_parser("validate",
-                           help="compare closed-form couplings to quadrature")
-    common(p_val)
-    p_val.add_argument("--oracle-tol", dest="oracle_tol", type=float,
-                       default=1e-9,
-                       help="relative tolerance of the quadrature oracle "
-                            "(default 1e-9)")
-    p_val.add_argument("--samples", type=int, default=50,
-                       help="number of random pairs to compare (default 50)")
-    p_val.add_argument("--seed", type=int, default=0,
-                       help="random seed (default 0)")
-    p_val.set_defaults(handler=_cmd_validate)
-    return parser
+def _parse(argv):
+    """(handler, args) of a command line read against COMMANDS: the
+    command, then its config path and flags, each flag as --flag value or
+    --flag=value (a value may start with a dash). -h prints help and
+    exits 0; a usage error raises ConfigError, worded as argparse words
+    it."""
+    table = {"command": ("command", tuple(COMMANDS), _REQUIRED, None)}
+    prog, given, tokens = "wirecoupling", {}, iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _help(given.get("command"))
+        # a word is the command, then the config path; --flag[=value]
+        name, eq, value = (token.partition("=") if token[:1] == "-" and given
+                           else ("config" if given else "command", "=", token))
+        if name not in table or name in given and name[0] != "-":
+            raise ConfigError(f"{prog}: unrecognized arguments: {token}")
+        value, kind = value if eq else next(tokens, None), table[name][1]
+        if value is None or isinstance(kind, tuple) and value not in kind:
+            raise ConfigError(f"{prog}: argument {name}: " + (
+                "expected one argument" if value is None else
+                f"invalid choice: {value!r} (choose from "
+                f"{', '.join(map(repr, kind))})"))
+        try:
+            given[name] = value if isinstance(kind, tuple) else kind(value)
+        except ValueError:
+            raise ConfigError(f"{prog}: argument {name}: invalid "
+                              f"{kind.__name__} value: {value!r}") from None
+        if name == "command":  # the command's arguments join the table
+            prog, table = f"{prog} {value}", {**table, **COMMANDS[value][2]}
+    missing = [name for name, (_, _, default, _) in table.items()
+               if default is _REQUIRED and name not in given]
+    if missing:
+        raise ConfigError(f"{prog}: the following arguments are required: "
+                          + ", ".join(missing))
+    return COMMANDS[given["command"]][0], SimpleNamespace(**{
+        dest: given.get(name, default)
+        for name, (dest, _, default, _) in table.items()})
 
 
 def main(argv=None) -> int:
@@ -353,8 +374,8 @@ def main(argv=None) -> int:
     # 2-vCPU VM).
     gc.freeze()
     try:
-        args = _build_parser().parse_args(argv)
-        return args.handler(load_scene_config(args.config), args)
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        return handler(load_scene_config(args.config), args)
     except (ConfigError, GeometryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
 from .errors import ConvergenceError, DomainError
 
@@ -54,7 +53,19 @@ def _fit(func: Callable, degree: int) -> list:
     angles = np.pi / (2 * n) * (np.outer(2 * j + 1, j) % (4 * n))
     coef = 2.0 / n * (values @ np.cos(angles))
     coef[0] /= 2.0
-    return np.pad(chebyshev.cheb2poly(coef), (0, n))[n - 1::-1].tolist()
+    return _cheb2poly(coef)[::-1].tolist()
+
+
+def _cheb2poly(c: np.ndarray) -> np.ndarray:
+    """Power-series coefficients, lowest first, of the Chebyshev series c
+    (at least 2 terms): numpy's cheb2poly recurrence, step for step, on
+    arrays of len(c), where np.roll(p, 1) is x * p."""
+    c0, c1 = np.zeros(len(c), complex), np.zeros(len(c), complex)
+    c0[0], c1[0] = c[-2], c[-1]
+    for i in range(len(c) - 1, 1, -1):
+        c0, c1 = -c1, c0 + 2 * np.roll(c1, 1)  # c[i-2] - c1, c0 + 2x c1
+        c0[0] += c[i - 2]
+    return c0 + np.roll(c1, 1)
 
 
 def _e1_fit(t):
@@ -154,8 +165,10 @@ def exp_integral_e1(c):
     return out.reshape(c.shape)
 
 
-# Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
-_legendre = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+# Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]; looked
+# up on the first call, so only the oracle loads numpy.polynomial.
+_legendre = functools.lru_cache(maxsize=None)(
+    lambda n: np.polynomial.legendre.leggauss(n))
 
 
 def adaptive_quad(f: Callable, a: float, b: float,

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -545,8 +546,20 @@ class TestUsage:
         (["bogus", "c.json"], "bogus"),
         (["impedance", "c.json", "--nope"], "--nope"),
         ([], "required: command"),
+        (["sweep", "c.json", "--param", "spacing", "--from", "1", "--to", "2",
+          "--points"], "argument --points: expected one argument"),
+        (["channel", "c.json", "d.json"], "unrecognized arguments: d.json"),
+        (["sweep", "c.json", "--param", "bogus", "--from", "1", "--to", "2",
+          "--points", "2"], "argument --param: invalid choice: 'bogus'"),
+        (["sweep", "c.json", "--param=spacing", "--from", "1"],
+         "required: --to, --points"),
+        (["validate", "c.json", "--samples=x"], "invalid int value: 'x'"),
+        (["validate", "c.json", "--sam", "4"],
+         "unrecognized arguments: --sam"),
     ], ids=["missing-argument", "bad-int", "bad-command", "unknown-flag",
-            "no-command"])
+            "no-command", "value-missing-at-end", "second-positional",
+            "bad-choice", "missing-flags", "bad-int-after-equals",
+            "abbreviation"])
     def test_usage_error_exits_1_with_one_line(self, capsys, argv, names):
         # a usage error is a configuration problem, as the README says
         assert main(argv) == 1
@@ -554,12 +567,63 @@ class TestUsage:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert names in err
 
+    def test_out_with_equals_sign(self, tmp_path):
+        cfg_path = write_config(tmp_path, elements_config(n=1))
+        out = tmp_path / "o"
+        assert main(["channel", cfg_path, f"--out={out}"]) == 0
+        assert (out / "channel.json").exists()
+
+    def test_value_may_start_with_a_dash(self, tmp_path):
+        # -0.5 is the value of --from, not a flag; the point itself fails
+        cfg_path = write_config(tmp_path, grid_config(rows=2, cols=2))
+        out = tmp_path / "o"
+        assert main(["sweep", cfg_path, "--param", "spacing", "--from",
+                     "-0.5", "--to", repr(0.125 * LAM), "--points", "2",
+                     "--out", str(out)]) == 0
+        rows = read_sweep(out / "sweep.csv")
+        assert [float(r[2]) for r in rows] == [-0.5, 0.125 * LAM]
+        assert rows[0][8] != "ok" and rows[1][8] == "ok"
+
+    def test_validate_defaults(self, tmp_path):
+        cfg_path = write_config(tmp_path, elements_config(n=1))
+        out = tmp_path / "o"
+        assert main(["validate", cfg_path, "--out", str(out)]) == 0
+        report = json.loads((out / "validate.json").read_text())
+        assert (report["oracle_rel_tol"], report["samples"],
+                report["seed"]) == (1e-9, 50, 0)
+
+    def test_console_script_reads_sys_argv(self, capsys, monkeypatch):
+        # the installed entry point calls main() with no arguments
+        monkeypatch.setattr(sys, "argv", ["wirecoupling", "bogus", "c.json"])
+        assert main() == 1
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [["-h"], ["sweep", "-h"]])
     def test_help_exits_0(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: wirecoupling")
+
+    @pytest.mark.parametrize("argv, names", [
+        (["--help"], ["impedance", "channel", "sweep", "validate"]),
+        (["impedance", "-h"], ["config", "--out"]),
+        (["channel", "c.json", "--help"], ["config", "--out"]),
+        (["sweep", "-h"], ["config", "--out", "--param", "--from", "--to",
+                           "--points"]),
+        (["validate", "--out", "o", "-h"], ["config", "--out", "--oracle-tol",
+                                            "--samples", "--seed"]),
+    ], ids=["program", "impedance", "channel", "sweep", "validate"])
+    def test_help_names_every_argument(self, capsys, argv, names):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: wirecoupling")
+        assert all(name in out for name in names)
+        # and no flag of another command
+        flags = {name for name in names if name.startswith("--")}
+        assert set(re.findall(r"--[a-z-]+", out)) - {"--help"} == flags
 
 
 class TestOutputPaths:
@@ -604,9 +668,13 @@ class TestImports:
         # scipy, the package and the CLI import and all four commands
         # run, an optimized channel included: scipy is a test dependency
         # only, and E1 off the positive imaginary axis is a DomainError,
-        # not a call into scipy. Nor do they load numpy.ma, which
-        # np.unique without indices imports, or statistics, which costs
-        # milliseconds of start-up for one median.
+        # not a call into scipy. Nor do they load statistics, which costs
+        # milliseconds of start-up for one median, or argparse, locale
+        # and gettext, which cost milliseconds of every request. Of
+        # numpy.ma (np.unique without indices imports it) and
+        # numpy.polynomial they load nothing that import numpy has not
+        # (numpy 1.x imports both itself), except the oracle's
+        # Gauss-Legendre rules from numpy.polynomial in validate.
         fixed = write_config(tmp_path, grid_config(rows=2, cols=2), "fixed.json")
         data = grid_config(rows=2, cols=2)
         data["tuning"] = {"optimize": {"budget": 3}}
@@ -620,8 +688,13 @@ class TestImports:
                         raise ModuleNotFoundError(f"blocked: {name}")
                     return None
 
+            def loaded(*families):
+                return {m for m in sys.modules for f in families
+                        if m == f or m.startswith(f + ".")}
+
             sys.meta_path.insert(0, NoScipy())
             import numpy as np
+            numpy_own = loaded("numpy.ma", "numpy.polynomial")
             import wirecoupling
             import wirecoupling.cli as cli
             fixed, optimized, out = sys.argv[1:]
@@ -630,6 +703,8 @@ class TestImports:
             for argv in (["channel", fixed], ["channel", optimized],
                          ["sweep", fixed, *sweep], ["impedance", fixed],
                          ["validate", fixed, "--samples", "2"]):
+                if argv[0] == "validate":
+                    polynomial = loaded("numpy.polynomial") - numpy_own
                 assert cli.main([*argv, "--out", out]) == 0, argv
             try:
                 wirecoupling.exp_integral_e1(np.array([1.0 + 0j]))
@@ -637,9 +712,9 @@ class TestImports:
                 pass
             else:
                 raise AssertionError("E1 off the axis did not raise")
-            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
-                         or m == "numpy.ma" or m.startswith("numpy.ma.")
-                         or m == "statistics"))
+            print(sorted(polynomial | (loaded("numpy.ma") - numpy_own)
+                         | loaded("scipy", "statistics", "argparse",
+                                  "locale", "gettext")))
         """)
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)

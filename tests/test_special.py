@@ -126,6 +126,22 @@ class TestExpIntegral:
                                    * mpmath.expj(x))
             assert abs(value - expected) <= 3.5e-16 * abs(expected), x
 
+    def test_fits_equal_numpy_cheb2poly_bit_for_bit(self, monkeypatch):
+        # _cheb2poly writes out numpy's recurrence so that importing the
+        # package does not load numpy.polynomial; the fits it gives are
+        # the ones numpy's cheb2poly gives, to the last bit
+        from numpy.polynomial import chebyshev
+
+        special = wirecoupling.special
+        fits = [special._E1_FIT, special._AUXILIARY_FIT]
+        monkeypatch.setattr(special, "_cheb2poly", lambda c: np.pad(
+            chebyshev.cheb2poly(c), (0, len(c)))[:len(c)])
+        expected = [special._fit(special._e1_fit, 19),
+                    special._fit(special._auxiliary_fit, 22)]
+        assert [len(fit) for fit in fits] == [20, 23]
+        assert [list(map(repr, fit)) for fit in fits] == [
+            list(map(repr, fit)) for fit in expected]
+
     def test_rejects_zero(self):
         with pytest.raises(DomainError):
             exp_integral_e1(np.array([0.0]))
