@@ -271,14 +271,31 @@ class TestScene:
         assert scene.n_elements == 2
 
 
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("seed", range(16))
 def test_first_overlap_matches_pairwise_loop(seed):
-    # crowded random wires, most seeds with several collisions
+    # seeds 0-7: crowded random wires, n < 60, most seeds with several
+    # collisions; 8-11: the same up to n = 150; 12-15: wires stacked along
+    # z on nearby axes, each gap at, just inside or just beyond the
+    # touching distance h_i + h_j, checked from every starting wire
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 60))
-    spread = rng.uniform(0.005, 0.1)
-    wires = [make_dipole(*rng.uniform(-spread, spread, 2), rng.uniform(-1, 1),
-                         h=rng.uniform(0.05, 0.3), a=rng.uniform(0.001, 0.004))
-             for _ in range(n)]
-    assert geometry._first_overlap(wires) == first_overlap_loop(wires)
+    starts = [0]
+    if seed < 12:
+        n = int(rng.integers(2, 60 if seed < 8 else 150))
+        spread = rng.uniform(0.005, 0.1)
+        wires = [make_dipole(*rng.uniform(-spread, spread, 2),
+                             rng.uniform(-1, 1), h=rng.uniform(0.05, 0.3),
+                             a=rng.uniform(0.001, 0.004))
+                 for _ in range(n)]
+    else:
+        wires = [make_dipole()]
+        for _ in range(int(rng.integers(20, 150))):
+            h = rng.uniform(0.05, 0.3)
+            # the axis offset along x keeps rho exact in both checks
+            x = rng.choice([0.0, 0.002, 0.003, 0.01])
+            z = wires[-1].center[2] + (wires[-1].half_length + h) * rng.choice(
+                [1 - 1e-15, 1.0, 1 + 1e-15, 1 + 1e-3])
+            wires.append(make_dipole(x, 0.0, z, h=h))
+        starts = range(len(wires))
+    for s in starts:
+        assert geometry._first_overlap(wires[s:]) == first_overlap_loop(wires[s:])
     assert geometry._first_overlap(wires[:1]) is None

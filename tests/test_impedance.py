@@ -29,6 +29,12 @@ from wirecoupling import impedance
 from wirecoupling.impedance import mutual_impedance_oracle
 from wirecoupling.special import adaptive_quad
 
+# (h, rho) in wavelengths of the equal short pairs whose closed form misses
+# the 1e-6 validate gate today (ROADMAP item 14's table).
+SHORT_PAIR_MISSES = {(1e-3, 0.5), (1e-3, 3.0),
+                     (1e-4, 0.125), (1e-4, 0.5), (1e-4, 3.0),
+                     (3e-5, 0.125), (3e-5, 0.5), (3e-5, 3.0)}
+
 # Per-pair scalar closed-form values of three scenes, taken before the
 # kernel became array-native; the file names the commit.
 SCALAR_REFERENCE = Path(__file__).parent / "data" / "scalar_reference.json"
@@ -322,6 +328,23 @@ class TestMutualImpedance:
         resistance = mutual_impedance(dipole, dipole, k, same=True).real
         reference = wire["re_ohm_at_radius"]
         assert abs(resistance - reference) <= 1e-8 * reference
+
+    @pytest.mark.parametrize("h, rho", [
+        pytest.param(h, rho, id=f"h={h:g}lambda-rho={rho:g}lambda", marks=(
+            pytest.mark.xfail(strict=True, reason="the E1 sum of two short "
+                              "wires cancels as about eps/(kh)^4; ROADMAP "
+                              "item 14") if (h, rho) in SHORT_PAIR_MISSES
+            else ()))
+        for h in (0.23, 1e-2, 1e-3, 1e-4, 3e-5) for rho in (0.125, 0.5, 3.0)])
+    def test_short_mutual_pair(self, h, rho):
+        # two equal parallel wires side by side, a = 1e-3 h, against the
+        # oracle at rel_tol 1e-12; the oracle's own three-wave sum cancels
+        # only as eps/(kh)^2, about 6e-9 at 3e-5 lambda, far inside the gate
+        p = Dipole((0.0, 0.0, 0.0), h * LAM, 1e-3 * h * LAM)
+        q = Dipole((rho * LAM, 0.0, 0.0), h * LAM, 1e-3 * h * LAM)
+        reference = mutual_impedance_oracle(p, q, K, rel_tol=1e-12)
+        value = mutual_impedance(p, q, K)
+        assert abs(value - reference) <= 1e-6 * abs(reference)
 
     def test_resonant_length_raises(self):
         p = Dipole(center=(0, 0, 0), half_length=LAM / 2, radius=LAM / 2000)
